@@ -11,7 +11,7 @@ from .dynamics import (DecayProfile, InitialState, TimeGrid, TrajectoryState,
 from .errors import (ConfigError, DimensionError, IntegrationError,
                      NumericsError, StateError)
 from .measurement import (ObservableTrace, PhysicalUnits, QubitSeries,
-                          ShotConfig, build_trace, current, current_series,
+                          ShotConfig, build_trace, current_series,
                           exact_expectation, sampled_expectation, voltage)
 from .ops import (InteractionSpec, KrausPair, apply_channel,
                   apply_interaction, collision_step, damping_kraus,

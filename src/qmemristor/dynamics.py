@@ -11,6 +11,7 @@ of its code.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,6 +22,9 @@ from .errors import IntegrationError
 from .linalg import dagger, require_density_matrix
 
 STEPS_PER_PERIOD_FLOOR = 8
+QUAD_TOL = 1e-10
+# relative size of rounding noise in a Simpson refinement estimate
+_ROUNDING_FLOOR = 64 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -33,16 +37,13 @@ class DecayProfile:
     """
     gamma0: float
     omega: float
-    quad_tol: float = 1e-10
     rate_override: Callable[[float], float] | None = None
 
     def __post_init__(self):
-        if not self.gamma0 > 0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
-        if not self.omega > 0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.quad_tol > 0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol}")
+        if not 0 < self.gamma0 < math.inf:
+            raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be positive and finite, got {self.omega}")
 
     @property
     def period(self) -> float:
@@ -126,27 +127,36 @@ def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
     left = _simpson(fa, flm, fm, m - a)
     right = _simpson(fm, frm, fb, b - m)
     delta = left + right - whole
+    err = abs(delta)
     # strict acceptance (|delta| <= tol rather than 15*tol) plus the
     # Richardson term keeps the realized error well under the nominal tol
-    if depth <= 0 or abs(delta) <= tol:
+    if depth <= 0 or err <= tol:
         return left + right + delta / 15.0
+    if not err > _ROUNDING_FLOOR * abs(whole):
+        # a NaN estimate, or rounding noise above tol: refining cannot shrink
+        # it (an infinite half gives NaN one level down)
+        raise IntegrationError(
+            f"decay integral on [{a}, {b}] cannot reach tolerance {tol:.1e}")
     return (_adaptive_simpson(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
             + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
 
 def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
-                        tol: float, max_panel: float = math.inf) -> float:
+                        tol: float, max_panel: float) -> float:
     """Adaptive Simpson integral of f over [a, b] to absolute tolerance tol.
 
     ``max_panel`` caps the width of the initial panels. Periodic integrands
     sampled at period-commensurate points can fool the refinement estimate,
     so callers integrating over many oscillations must cap panels below the
-    oscillation period.
+    oscillation period. Raises IntegrationError once the error estimate is
+    not finite or is rounding noise above tol, which refinement cannot fix
+    (an overflowing integrand, or one so large that tol is below its ulp).
     """
     if b == a:
         return 0.0
-    n_panels = max(1, math.ceil((b - a) / max_panel)) if math.isfinite(max_panel) else 1
-    edges = np.linspace(a, b, n_panels + 1)
+    n_panels = max(1, math.ceil((b - a) / max_panel))
+    # Python floats: numpy scalars would slow the recursion down about twofold
+    edges = np.linspace(a, b, n_panels + 1).tolist()
     panel_tol = tol / n_panels
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -174,7 +184,7 @@ def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
         def f(t: float) -> float:
             return g0 * (1.0 - sin(cos(w * t)))
 
-    integral = adaptive_quadrature(f, t_start, t_end, p.quad_tol,
+    integral = adaptive_quadrature(f, t_start, t_end, QUAD_TOL,
                                    max_panel=p.period / 4.0)
     return -0.5 * integral
 
@@ -191,29 +201,12 @@ def theta_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
     return np.arccos(np.clip(amps, 0.0, 1.0))
 
 
-def run_single(init: InitialState, p: DecayProfile, grid: TimeGrid,
-               mode: str = "kraus") -> list[TrajectoryState]:
-    """Digital trajectory of one memristor over the grid.
-
-    mode 'kraus' applies the per-step Kraus map directly; 'collision' routes
-    every step through the explicit system-ancilla circuit. The two agree
-    entrywise to machine precision.
-    """
-    if mode not in ("kraus", "collision"):
-        raise ValueError(f"mode must be 'kraus' or 'collision', got {mode!r}")
-    times = grid.times(p.omega)
+def run_single(init: InitialState, p: DecayProfile,
+               grid: TimeGrid) -> list[TrajectoryState]:
+    """Digital trajectory of one memristor: one damping Kraus map per step."""
     kappas = kappa_schedule(grid, p)
-    rho = init.density_matrix()
-    states = [TrajectoryState(0, 0.0, rho)]
-    for i, k in enumerate(kappas):
-        if mode == "kraus":
-            rho = ops.apply_channel(rho, ops.damping_kraus(min(k, 0.0)))
-        else:
-            theta = math.acos(min(math.exp(k), 1.0))
-            rho = ops.collision_step(rho, theta)
-        require_density_matrix(rho, 2, context=f"single trajectory, step {i + 1}")
-        states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
-    return states
+    return _evolve(init.density_matrix(), kappas[:, None], grid.times(p.omega),
+                   None, "single trajectory")
 
 
 def run_coupled(init1: InitialState, init2: InitialState,
@@ -227,23 +220,42 @@ def run_coupled(init1: InitialState, init2: InitialState,
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
-    times = grid.times(p1.omega)
-    k1 = kappa_schedule(grid, p1)
-    k2 = kappa_schedule(grid, p2)
-    rho = np.kron(init1.density_matrix(), init2.density_matrix())
+    kappas = np.stack([kappa_schedule(grid, p1), kappa_schedule(grid, p2)], axis=1)
+    rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
+    return _evolve(rho0, kappas, grid.times(p1.omega), spec, "coupled trajectory")
+
+
+def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, times: np.ndarray,
+            gate: ops.InteractionSpec | None, context: str) -> list[TrajectoryState]:
+    """Step a one- or two-qubit state through the grid.
+
+    Row i of ``kappa_rows`` holds each qubit's kappa for step i. A step sums
+    op rho op^dag over the Kronecker products of the qubits' damping Kraus
+    operators, then conjugates by the coupling ``gate`` if there is one, and
+    validates the result.
+    """
+    dim = rho0.shape[0]
+    rho = rho0
     states = [TrajectoryState(0, 0.0, rho)]
-    for i in range(grid.n_steps):
-        pair1 = ops.damping_kraus(min(k1[i], 0.0))
-        pair2 = ops.damping_kraus(min(k2[i], 0.0))
-        stepped = np.zeros((4, 4), dtype=complex)
-        for e in (pair1.e0, pair1.e1):
-            for f in (pair2.e0, pair2.e1):
-                op = np.kron(e, f)
-                stepped += op @ rho @ dagger(op)
-        rho = ops.apply_interaction(stepped, spec)
-        require_density_matrix(rho, 4, context=f"coupled trajectory, step {i + 1}")
+    for i, row in enumerate(kappa_rows.tolist()):
+        pair = ops.damping_kraus(min(row[0], 0.0))
+        kraus = (pair.e0, pair.e1)
+        if len(row) == 2:
+            partner = ops.damping_kraus(min(row[1], 0.0))
+            kraus = [_kron(e, f) for e in kraus for f in (partner.e0, partner.e1)]
+        first, *rest = kraus
+        stepped = first @ rho @ dagger(first)
+        for op in rest:
+            stepped = stepped + op @ rho @ dagger(op)
+        rho = stepped if gate is None else ops.apply_interaction(stepped, gate)
+        require_density_matrix(rho, dim, context=f"{context}, step {i + 1}")
         states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
     return states
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2x2 matrices as one broadcast multiply (same entries)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
 
 
 def analytic_oracle(init: InitialState, p: DecayProfile, t: float) -> np.ndarray:

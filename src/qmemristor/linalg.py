@@ -1,8 +1,8 @@
 """Dense complex matrix kernel for the 2- and 4-dimensional states used here.
 
 Everything is a plain ``numpy.ndarray`` with complex entries; the helpers in
-this module add the shape restrictions and density-matrix validation the rest
-of the package relies on. Supported shapes are 2x2, 4x4, 2x1 and 4x1.
+this module add the shape checks and density-matrix validation the rest of
+the package relies on.
 
 Basis convention: within one qubit block, index 0 is the excited state |e>
 and index 1 the ground state |g>. For two qubits the composite index is
@@ -19,40 +19,6 @@ from .errors import DimensionError, StateError
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
-
-_SUPPORTED_SHAPES = {(2, 2), (4, 4), (2, 1), (4, 1)}
-
-
-def as_complex_matrix(entries) -> np.ndarray:
-    """Coerce to a complex array, rejecting shapes outside the supported set.
-
-    1-d input of length 2 or 4 is treated as a column vector.
-    """
-    m = np.asarray(entries, dtype=complex)
-    if m.ndim == 1 and m.shape[0] in (2, 4):
-        m = m.reshape(-1, 1)
-    if m.ndim != 2 or m.shape not in _SUPPORTED_SHAPES:
-        raise DimensionError(f"unsupported matrix shape {m.shape}; "
-                             "expected 2x2, 4x4, 2x1 or 4x1")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with the artifact's shape restrictions."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices (left factor varies slowest)."""
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise DimensionError("kron expects two 2x2 matrices")
-    return np.kron(a, b)
 
 
 def dagger(m) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import ops
 from .dynamics import DecayProfile, TrajectoryState, decay_rate
+from .errors import StateError
 from .linalg import partial_trace
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -140,21 +141,11 @@ def finite_difference(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def current_series(sx_s: np.ndarray, sy_s: np.ndarray, dt: float,
-                   u: PhysicalUnits, scheme: str = "central") -> np.ndarray:
+                   u: PhysicalUnits) -> np.ndarray:
     """Memristive current sqrt(m*hbar*omega/2) d<sigma_y>/dt - sqrt(m*omega/(2*hbar)) <sigma_x>."""
-    if scheme != "central":
-        raise ValueError(f"unknown differentiation scheme {scheme!r}")
     dsy = finite_difference(np.asarray(sy_s, dtype=float), dt)
     return (math.sqrt(u.m * u.hbar * u.omega / 2.0) * dsy
             - math.sqrt(u.m * u.omega / (2.0 * u.hbar)) * np.asarray(sx_s, dtype=float))
-
-
-def current(trace: ObservableTrace, u: PhysicalUnits, scheme: str = "central",
-            qubit: int = 0) -> np.ndarray:
-    """Recompute the current of one qubit of a trace from its Bloch series."""
-    q = trace.qubits[qubit]
-    dt = float(trace.t[1] - trace.t[0])
-    return current_series(q.sx_s, q.sy_s, dt, u, scheme)
 
 
 def _bloch_point(rho: np.ndarray, axis: str, cfg: ShotConfig,
@@ -192,7 +183,8 @@ def build_trace(states: Sequence[TrajectoryState],
                          for i, r in enumerate(rhos)])
         sy_i = np.array([_bloch_point(r, "y", shots, (q, i))
                          for i, r in enumerate(rhos)])
-        _check_bloch_norm(sx_i, sy_i, shots)
+        if shots.mode == "exact":
+            _check_bloch_norm(sx_i, sy_i)
         sx_s, sy_s = ops.frame_to_schroedinger(sx_i, sy_i, t, omega)
         gamma = np.array([decay_rate(ti, profiles[q]) for ti in t])
         v = voltage(sy_s, units)
@@ -202,8 +194,13 @@ def build_trace(states: Sequence[TrajectoryState],
                            mode=shots.mode, shots=shots.shots if shots.mode == "sampled" else 0)
 
 
-def _check_bloch_norm(sx: np.ndarray, sy: np.ndarray, shots: ShotConfig) -> None:
-    slack = 1e-9 if shots.mode == "exact" else 4.0 / math.sqrt(shots.shots)
+def _check_bloch_norm(sx: np.ndarray, sy: np.ndarray) -> None:
+    """Exact transverse components must lie in the unit disc.
+
+    Sampled values are not checked: each shot estimate lies in [-1, 1] by
+    construction and its state already passed validation, while the pair
+    (sx, sy) can leave the disc through independent shot noise alone.
+    """
     worst = float(np.max(sx * sx + sy * sy))
-    if worst > 1.0 + slack:
-        raise ValueError(f"transverse Bloch norm {worst:.6f} exceeds 1 + {slack:.2e}")
+    if worst > 1.0 + 1e-9:
+        raise StateError(f"transverse Bloch norm {worst:.6f} exceeds 1 + 1e-09")

@@ -1,9 +1,15 @@
+import math
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from qmemristor import runner
 from qmemristor.cli import main
+from qmemristor.config import RunConfig
 from qmemristor.errors import NumericsError
 from qmemristor.presets import preset
+
+from conftest import deadline
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -156,6 +162,18 @@ class TestExitCodes:
         rc = main(["run", "--preset", "fig4", "--exact", "--periods", "2",
                    "--out", str(blocker)])
         assert rc == 4
+
+    @pytest.mark.parametrize("fields, code", [
+        (dict(gamma0_1=math.inf), 2),
+        (dict(omega=math.inf), 2),
+        (dict(gamma0_1=1e308), 3),
+    ], ids=["gamma0_inf", "omega_inf", "gamma0_1e308"])
+    def test_extreme_rates_fail_fast(self, tmp_path, fields, code):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(RunConfig(**fields).to_text())
+        with deadline(1.0):
+            rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
+        assert rc == code
 
     def test_numerical_failure(self, tmp_path, monkeypatch):
         def boom(config, out_dir):

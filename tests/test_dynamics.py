@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmemristor import ops
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
-                                 analytic_oracle, decay_rate, kappa,
-                                 kappa_schedule, lindblad_oracle, run_coupled,
-                                 run_single, theta_schedule)
+                                 TrajectoryState, analytic_oracle, decay_rate,
+                                 kappa, kappa_schedule, lindblad_oracle,
+                                 run_coupled, run_single, theta_schedule)
 from qmemristor.errors import IntegrationError
-from qmemristor.linalg import partial_trace
+from qmemristor.linalg import dagger, partial_trace, require_density_matrix
 from qmemristor.ops import (SWAP, InteractionSpec, apply_channel,
-                            damping_kraus, free_evolution)
+                            collision_step, damping_kraus, free_evolution)
+
+from conftest import deadline
 
 FIG4_INIT = InitialState(math.pi / 4, math.pi / 5)
 FIG4_PROFILE = DecayProfile(0.4, 1.0)
@@ -57,6 +60,13 @@ class TestKappa:
     def test_rejects_reversed_interval(self):
         with pytest.raises(ValueError):
             kappa(2.0, 1.0, FIG4_PROFILE)
+
+    @pytest.mark.parametrize("t0", [0.0, 3.0])
+    def test_unresolvable_rate_raises(self, t0):
+        # near t = 0 the 1e308 rate is finite but its ulp dwarfs the absolute
+        # tolerance; near t = pi it overflows to inf and the estimate is NaN
+        with deadline(1.0), pytest.raises(IntegrationError):
+            kappa(t0, t0 + 0.2, DecayProfile(1e308, 1.0))
 
     def test_nonpositive(self, rng):
         for _ in range(50):
@@ -121,20 +131,17 @@ class TestRunSingle:
 
     def test_kraus_and_collision_modes_agree(self):
         grid = TimeGrid(2, 30)
-        kraus = run_single(FIG4_INIT, FIG4_PROFILE, grid, mode="kraus")
-        coll = run_single(FIG4_INIT, FIG4_PROFILE, grid, mode="collision")
-        for a, b in zip(kraus, coll):
-            assert np.abs(a.rho - b.rho).max() <= 1e-12
+        kraus = run_single(FIG4_INIT, FIG4_PROFILE, grid)
+        rho = FIG4_INIT.density_matrix()
+        for state, theta in zip(kraus[1:], theta_schedule(grid, FIG4_PROFILE)):
+            rho = collision_step(rho, theta)
+            assert np.abs(state.rho - rho).max() <= 1e-12
 
     def test_coarse_step_equals_two_fine_steps(self):
         coarse = run_single(FIG4_INIT, FIG4_PROFILE, TimeGrid(2, 15))
         fine = run_single(FIG4_INIT, FIG4_PROFILE, TimeGrid(2, 30))
         for i, s in enumerate(coarse):
             assert np.abs(s.rho - fine[2 * i].rho).max() <= 1e-11
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            run_single(FIG4_INIT, FIG4_PROFILE, TimeGrid(1, 10), mode="exact")
 
 
 class TestAnalyticOracle:
@@ -277,6 +284,12 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             DecayProfile(0.1, 0.0)
 
+    def test_profile_finiteness(self):
+        for gamma0, omega in ((math.inf, 1.0), (math.nan, 1.0),
+                              (0.1, math.inf), (0.1, math.nan)):
+            with pytest.raises(ValueError):
+                DecayProfile(gamma0, omega)
+
     def test_initial_state_ranges(self):
         with pytest.raises(ValueError):
             InitialState(-0.1, 0.0)
@@ -286,3 +299,83 @@ class TestTypeValidation:
     def test_initial_state_norm(self):
         psi = InitialState(0.7, 1.3).ket()
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-14)
+
+
+# The per-qubit trajectory loops as they stood before run_single and
+# run_coupled shared one stepper. The stepper performs the same floating-point
+# operations in the same order, so it must reproduce them bit for bit.
+
+def reference_single(init, p, grid):
+    times = grid.times(p.omega)
+    kappas = kappa_schedule(grid, p)
+    rho = init.density_matrix()
+    states = [TrajectoryState(0, 0.0, rho)]
+    for i, k in enumerate(kappas):
+        rho = apply_channel(rho, damping_kraus(min(k, 0.0)))
+        require_density_matrix(rho, 2, context=f"single trajectory, step {i + 1}")
+        states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
+    return states
+
+
+def reference_coupled(init1, init2, p1, p2, grid, spec):
+    times = grid.times(p1.omega)
+    k1 = kappa_schedule(grid, p1)
+    k2 = kappa_schedule(grid, p2)
+    rho = np.kron(init1.density_matrix(), init2.density_matrix())
+    states = [TrajectoryState(0, 0.0, rho)]
+    for i in range(grid.n_steps):
+        pair1 = damping_kraus(min(k1[i], 0.0))
+        pair2 = damping_kraus(min(k2[i], 0.0))
+        stepped = np.zeros((4, 4), dtype=complex)
+        for e in (pair1.e0, pair1.e1):
+            for f in (pair2.e0, pair2.e1):
+                op = np.kron(e, f)
+                stepped += op @ rho @ dagger(op)
+        rho = ops.apply_interaction(stepped, spec)
+        require_density_matrix(rho, 4, context=f"coupled trajectory, step {i + 1}")
+        states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
+    return states
+
+
+def assert_identical(states, reference):
+    assert len(states) == len(reference)
+    for s, r in zip(states, reference):
+        assert (s.step, s.time) == (r.step, r.time)
+        assert np.array_equal(s.rho, r.rho)
+
+
+initial_states = st.builds(InitialState, st.floats(0.0, math.pi / 2),
+                           st.floats(0.0, 6.28))
+grids = st.builds(TimeGrid, st.integers(1, 2), st.integers(8, 16))
+
+
+def profiles(omega):
+    """The oscillating profile or a constant-rate override, zero included."""
+    return st.one_of(
+        st.builds(DecayProfile, st.floats(0.01, 1.0), st.just(omega)),
+        st.floats(0.0, 2.0).map(
+            lambda r: DecayProfile(1.0, omega, rate_override=lambda t: r)))
+
+
+couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),
+                      st.sampled_from("xyz"), st.floats(-math.pi, math.pi),
+                      st.sampled_from((1, 2)),
+                      st.sampled_from(ops.DAGGER_CONVENTIONS))
+
+
+class TestStepperMatchesReferenceLoops:
+    @given(data=st.data(), init=initial_states, grid=grids,
+           omega=st.floats(0.5, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_single(self, data, init, grid, omega):
+        p = data.draw(profiles(omega))
+        assert_identical(run_single(init, p, grid), reference_single(init, p, grid))
+
+    @given(data=st.data(), init1=initial_states, init2=initial_states,
+           grid=grids, omega=st.floats(0.5, 2.0), spec=couplings)
+    @settings(max_examples=60, deadline=None)
+    def test_coupled(self, data, init1, init2, grid, omega, spec):
+        p1 = data.draw(profiles(omega))
+        p2 = data.draw(profiles(omega))
+        assert_identical(run_coupled(init1, init2, p1, p2, grid, spec),
+                         reference_coupled(init1, init2, p1, p2, grid, spec))

@@ -1,78 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from qmemristor.errors import DimensionError, StateError
-from qmemristor.linalg import (as_complex_matrix, hermitian_eigenvalues, kron,
-                               matmul, partial_trace, require_density_matrix)
-from qmemristor.ops import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from qmemristor.linalg import (hermitian_eigenvalues, partial_trace,
+                               require_density_matrix)
+from qmemristor.ops import IDENTITY_2, SIGMA_X, SIGMA_Y
 
 from conftest import random_density_matrix
 
 KET_E = np.array([1.0, 0.0], dtype=complex)
 KET_G = np.array([0.0, 1.0], dtype=complex)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert np.allclose(matmul(IDENTITY_2, m), m)
-
-    def test_pauli_involution(self):
-        assert np.allclose(matmul(SIGMA_X, SIGMA_X), IDENTITY_2)
-
-    def test_sigma_x_times_sigma_y(self):
-        # hand multiplication: [[0,1],[1,0]] @ [[0,-i],[i,0]] = [[i,0],[0,-i]]
-        assert np.allclose(matmul(SIGMA_X, SIGMA_Y), 1j * SIGMA_Z)
-
-    def test_matrix_vector(self):
-        assert np.allclose(matmul(SIGMA_X, KET_E).ravel(), KET_G)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.eye(2), np.eye(4))
-
-    def test_unsupported_shape(self):
-        with pytest.raises(DimensionError):
-            as_complex_matrix(np.eye(3))
-
-
-class TestKron:
-    def test_identities(self):
-        assert np.allclose(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_diagonal_case(self):
-        assert np.allclose(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1]))
-
-    def test_basis_bookkeeping(self):
-        # |10> is index 2; sigma_x on the slow qubit sends it to |00> = index 0
-        ket10 = np.zeros(4, dtype=complex)
-        ket10[2] = 1.0
-        out = kron(SIGMA_X, IDENTITY_2) @ ket10
-        expected = np.zeros(4, dtype=complex)
-        expected[0] = 1.0
-        assert np.allclose(out, expected)
-
-    def test_rejects_non_2x2(self):
-        with pytest.raises(DimensionError):
-            kron(np.eye(4), np.eye(2))
-
-    def test_mixed_product_rule(self, rng):
-        for _ in range(1000):
-            a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-                          for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert np.abs(lhs - rhs).max() < 1e-12 * max(1.0, np.abs(rhs).max())
-
-    @given(s=st.floats(-5, 5), t=st.floats(-5, 5))
-    def test_bilinear(self, s, t):
-        a = np.array([[1, 2j], [0.5, -1]], dtype=complex)
-        b = np.array([[0, 1], [1j, 2]], dtype=complex)
-        c = np.array([[1, 0], [0, -1j]], dtype=complex)
-        assert np.allclose(kron(s * a + t * c, b), s * kron(a, b) + t * kron(c, b),
-                           atol=1e-10)
 
 
 class TestPartialTrace:

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from qmemristor.dynamics import DecayProfile, InitialState, TimeGrid, run_coupled, run_single
+from qmemristor.config import apply_overrides
+from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
+                                 TrajectoryState, run_coupled, run_single)
+from qmemristor.errors import StateError
 from qmemristor.measurement import (PhysicalUnits, ShotConfig, build_trace,
-                                    current, current_series, exact_expectation,
+                                    current_series, exact_expectation,
                                     finite_difference, sampled_expectation,
                                     voltage)
 from qmemristor.ops import InteractionSpec
+from qmemristor.presets import preset
+from qmemristor.runner import execute
 
 from conftest import random_density_matrix
 
@@ -123,10 +128,6 @@ class TestCurrent:
         with pytest.raises(ValueError):
             current_series(np.zeros(2), np.zeros(2), 0.1, UNITS)
 
-    def test_rejects_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            current_series(np.zeros(10), np.zeros(10), 0.1, UNITS, scheme="spectral")
-
     def test_linear_in_components(self, rng):
         n = 50
         dt = 0.17
@@ -148,7 +149,9 @@ class TestCurrent:
         profile = DecayProfile(0.4, 1.0)
         states = run_single(init, profile, TimeGrid(1, 15))
         trace = build_trace(states, [profile], UNITS, EXACT)
-        assert np.allclose(current(trace, UNITS), trace.qubits[0].current)
+        q = trace.qubits[0]
+        dt = float(trace.t[1] - trace.t[0])
+        assert np.allclose(current_series(q.sx_s, q.sy_s, dt, UNITS), q.current)
 
 
 class TestFiniteDifference:
@@ -209,6 +212,20 @@ class TestBuildTrace:
         assert np.array_equal(t1.qubits[0].current, t2.qubits[0].current)
         t3 = build_trace(states, [profile], UNITS, sampled(6))
         assert not np.array_equal(t1.qubits[0].sx_i, t3.qubits[0].sx_i)
+
+    def test_exact_bloch_norm_above_one_raises(self):
+        # not a state: <sigma_x> = 1.2 puts the Bloch vector outside the disc
+        bad = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
+        states = [TrajectoryState(i, 0.1 * i, bad) for i in range(5)]
+        with pytest.raises(StateError):
+            build_trace(states, [DecayProfile(0.4, 1.0)], UNITS, EXACT)
+
+    def test_sampled_shot_noise_outside_unit_disc_is_accepted(self):
+        # at this seed shot noise puts one point of the equatorial fig4
+        # state at sx^2 + sy^2 = 1.057
+        result = execute(apply_overrides(preset("fig4"), seed=126))
+        q = result.trace.qubits[0]
+        assert float(np.max(q.sx_i ** 2 + q.sy_i ** 2)) > 1.0
 
     def test_profile_count_mismatch(self):
         init = InitialState(0.3, 0.0)
