@@ -10,9 +10,9 @@ from .dynamics import (DecayProfile, InitialState, TimeGrid, TrajectoryState,
                        theta_schedule)
 from .errors import (ConfigError, DimensionError, IntegrationError,
                      NumericsError, StateError)
-from .measurement import (ObservableTrace, PhysicalUnits, QubitSeries,
-                          ShotConfig, build_trace, current_series,
-                          exact_expectation, sampled_expectation, voltage)
+from .measurement import (ObservableTrace, QubitSeries, ShotConfig,
+                          build_trace, current_series, exact_expectation,
+                          sampled_expectation, voltage)
 from .ops import (InteractionSpec, KrausPair, apply_channel,
                   apply_interaction, collision_step, damping_kraus,
                   frame_to_schroedinger, interaction_unitary)

@@ -10,8 +10,8 @@ import numpy as np
 
 from . import ops
 from .dynamics import TimeGrid
-from .errors import DimensionError
-from .linalg import hermitian_eigenvalues, require_density_matrix
+from .errors import DimensionError, NumericsError
+from .linalg import require_density_matrix
 from .measurement import ObservableTrace
 
 log = logging.getLogger(__name__)
@@ -24,7 +24,6 @@ class HysteresisLoop:
     """One driving period of the I-V curve, in normalized units."""
     period: int
     points: np.ndarray  # shape (n, 2), columns (V, I)
-    closed: bool = True
 
 
 @dataclass(frozen=True)
@@ -114,17 +113,17 @@ def loop_metrics(loop: HysteresisLoop) -> LoopMetrics:
     The area of a pinched (self-crossing) loop is the sum of the absolute
     lobe areas, lobes being the arcs between near-origin sign changes of V;
     a plain signed shoelace would cancel the two halves of the figure-eight.
-    The form factor 4*pi*area/perimeter^2 is 1 for a circle.
+    The form factor 4*pi*area/perimeter^2 is 1 for a circle. A loop of zero
+    perimeter (V = I = 0 throughout, as for a state with no transverse Bloch
+    component) raises NumericsError.
     """
-    if not loop.closed:
-        raise ValueError("loop_metrics requires a closed loop")
     pts = np.asarray(loop.points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError(f"loop needs at least 3 (V, I) points, got shape {pts.shape}")
     edges = np.roll(pts, -1, axis=0) - pts
     perimeter = float(np.hypot(edges[:, 0], edges[:, 1]).sum())
     if perimeter == 0.0:
-        raise ValueError("degenerate loop with zero perimeter")
+        raise NumericsError("degenerate loop with zero perimeter")
     area = sum(abs(_shoelace(lobe)) for lobe in _origin_lobes(pts))
     form = 4.0 * math.pi * area / perimeter ** 2
     pinch = float(np.hypot(pts[:, 0], pts[:, 1]).min())
@@ -157,7 +156,7 @@ def concurrence(rho: np.ndarray) -> float:
     sqrt_rho = (vecs * np.sqrt(evals)) @ vecs.conj().T
     m = sqrt_rho @ rho_tilde @ sqrt_rho
     m = 0.5 * (m + m.conj().T)
-    lams = hermitian_eigenvalues(m)
+    lams = np.linalg.eigvalsh(m)[::-1]
     # the square root turns O(eps) spectral noise into O(1e-8); anything
     # below this floor is unresolvable and belongs to the zero modes
     lams = np.sqrt(np.where(lams < 1e-14, 0.0, lams))

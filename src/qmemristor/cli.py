@@ -2,7 +2,8 @@
 
 Verbs: ``run`` (one simulation), ``scan`` (coupling-strength sweep),
 ``export-qasm`` (circuit text), ``presets`` (catalog listing). Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
+0 success, 2 configuration error, 3 numerical failure, 4 I/O error. Any other
+exception, a bare ValueError included, is a defect and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, FloatingPointError, np.linalg.LinAlgError, ValueError) as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

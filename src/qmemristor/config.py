@@ -1,18 +1,22 @@
 """Run configuration: one flat record covering every knob of a simulation.
 
 Configs serialize to a plain ``key = value`` text format with ``#`` comments,
-chosen so runs can be reproduced from a file that any tool can parse. All
-fields are validated by constructing the owning module types before a run
+chosen so runs can be reproduced from a file that any tool can parse. String
+values are written as Python literals, so any name survives the round trip.
+All fields are validated by constructing the owning module types before a run
 starts, so a bad config fails before any work happens.
 """
 
 from __future__ import annotations
 
+import ast
+import math
+import re
 from dataclasses import dataclass, fields, replace
 
 from .dynamics import DecayProfile, InitialState, TimeGrid
 from .errors import ConfigError
-from .measurement import PhysicalUnits, ShotConfig
+from .measurement import ShotConfig
 from .ops import InteractionSpec
 
 MODES = ("single", "coupled")
@@ -48,12 +52,19 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.plot_normalization not in NORMALIZATIONS:
             raise ConfigError(f"plot_normalization must be one of {NORMALIZATIONS}")
+        if self.mode == "single" and self.a1 == 0.0:
+            # pure |e>: no transverse Bloch component, so V = I = 0 throughout
+            raise ConfigError(f"invalid configuration {self.name!r}: a single run "
+                              "needs a1 > 0 (a1 = 0 has zero voltage and current)")
         try:
             init1 = InitialState(self.a1, self.b1)
             prof1 = DecayProfile(self.gamma0_1, self.omega)
             grid = TimeGrid(self.periods, self.steps_per_period)
+            span = grid.n_steps * grid.dt(self.omega)
+            if not 0.0 < span < math.inf:
+                raise ValueError(f"omega = {self.omega!r} gives the time span {span!r}; "
+                                 "it must be positive and finite")
             shots = ShotConfig(self.shots_mode, self.shots, self.seed)
-            units = PhysicalUnits(omega=self.omega)
             if self.mode == "coupled":
                 if self.a2 is None or self.gamma0_2 is None:
                     raise ValueError("coupled mode needs a2 and gamma0_2")
@@ -66,7 +77,7 @@ class RunConfig:
                 spec = InteractionSpec("none")
         except ValueError as exc:
             raise ConfigError(f"invalid configuration {self.name!r}: {exc}") from exc
-        return RunComponents(init1, init2, prof1, prof2, grid, spec, shots, units)
+        return RunComponents(init1, init2, prof1, prof2, grid, spec, shots)
 
     def to_text(self) -> str:
         lines = ["# qmemristor run configuration"]
@@ -87,7 +98,6 @@ class RunComponents:
     grid: TimeGrid
     interaction: InteractionSpec
     shots: ShotConfig
-    units: PhysicalUnits
 
     @property
     def profiles(self) -> list[DecayProfile]:
@@ -98,28 +108,34 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _INT_FIELDS = {"periods", "steps_per_period", "control", "shots", "seed"}
 _STR_FIELDS = {"name", "mode", "interaction", "axis", "dagger_convention",
                "shots_mode", "plot_normalization"}
+# one Python string literal (what to_text writes), then an optional comment
+_QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
 
 
 def config_from_text(text: str) -> RunConfig:
     """Parse the key-value config format (inverse of RunConfig.to_text)."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        quoted = _QUOTED.fullmatch(value)
+        if not quoted and value.startswith(("'", '"')):
+            raise ConfigError(f"line {lineno}: malformed string for {key}: {value!r}")
+        value = quoted[1] if quoted else value.split("#", 1)[0].strip()
         try:
             if key in _STR_FIELDS:
-                values[key] = value.strip("'\"")
+                values[key] = ast.literal_eval(value) if quoted else value
             elif key in _INT_FIELDS:
                 values[key] = int(value)
             else:
                 values[key] = float(value)
-        except ValueError as exc:
+        except (ValueError, SyntaxError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     if "mode" not in values:
         raise ConfigError("config is missing the 'mode' key")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,18 +31,21 @@ class DecayProfile:
     """Oscillating decay rate gamma0 * (1 - sin(cos(omega*t))).
 
     The modulation keeps the rate strictly positive (|sin(cos x)| <= sin 1).
-    ``rate_override`` replaces the formula entirely; it exists for tests and
-    oracle cross-checks that need a constant or zero rate.
+    ``constant_rate`` replaces the formula by a fixed rate; it exists for
+    tests and oracle cross-checks that need a constant or zero rate.
     """
     gamma0: float
     omega: float
-    rate_override: Callable[[float], float] | None = None
+    constant_rate: float | None = None
 
     def __post_init__(self):
         if not 0 < self.gamma0 < math.inf:
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
+        if self.constant_rate is not None and not 0 <= self.constant_rate < math.inf:
+            raise ValueError(
+                f"constant_rate must be nonnegative and finite, got {self.constant_rate}")
 
     @property
     def period(self) -> float:
@@ -98,20 +100,19 @@ class InitialState:
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """State of a trajectory after `step` evolution steps, at time `time`.
+    """State of a trajectory at time `time`.
 
     ``rho`` is the interaction-picture density matrix (2x2 for a single
     memristor, 4x4 for a coupled pair).
     """
-    step: int
     time: float
     rho: np.ndarray
 
 
 def decay_rate(t: float, p: DecayProfile) -> float:
-    """Decay rate at time t (override-aware). Positive for the default profile."""
-    if p.rate_override is not None:
-        return p.rate_override(t)
+    """Decay rate at time t; ``constant_rate`` if set. Never negative."""
+    if p.constant_rate is not None:
+        return p.constant_rate
     return p.gamma0 * (1.0 - math.sin(math.cos(p.omega * t)))
 
 
@@ -141,23 +142,25 @@ def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
             + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
 
-def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
-                        tol: float, max_panel: float) -> float:
-    """Adaptive Simpson integral of f over [a, b] to absolute tolerance tol.
+def _decay_integral(a: float, b: float, p: DecayProfile) -> float:
+    """Adaptive Simpson integral of the rate formula over [a, b], a < b.
 
-    ``max_panel`` caps the width of the initial panels. Periodic integrands
-    sampled at period-commensurate points can fool the refinement estimate,
-    so callers integrating over many oscillations must cap panels below the
-    oscillation period. Raises IntegrationError once the error estimate is
-    not finite or is rounding noise above tol, which refinement cannot fix
-    (an overflowing integrand, or one so large that tol is below its ulp).
+    The absolute tolerance is QUAD_TOL. Initial panels are capped at a quarter
+    period: a periodic integrand sampled at period-commensurate points can
+    fool the refinement estimate. Raises IntegrationError once the error
+    estimate is not finite or is rounding noise above the tolerance, which
+    refinement cannot fix (an overflowing rate, or one so large that the
+    tolerance is below its ulp).
     """
-    if b == a:
-        return 0.0
-    n_panels = max(1, math.ceil((b - a) / max_panel))
+    g0, w, sin, cos = p.gamma0, p.omega, math.sin, math.cos
+
+    def f(t: float) -> float:
+        return g0 * (1.0 - sin(cos(w * t)))
+
+    n_panels = max(1, math.ceil((b - a) / (p.period / 4.0)))
     # Python floats: numpy scalars would slow the recursion down about twofold
     edges = np.linspace(a, b, n_panels + 1).tolist()
-    panel_tol = tol / n_panels
+    panel_tol = QUAD_TOL / n_panels
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = 0.5 * (lo + hi)
@@ -170,23 +173,16 @@ def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
 def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
     """Log-amplitude kappa = -(1/2) * integral of the decay rate over [t_start, t_end].
 
-    Additive over adjacent intervals; <= 0 whenever the rate is nonnegative.
+    Additive over adjacent intervals, and <= 0 because the rate is never
+    negative (every accepted Simpson panel of the formula is positive).
     """
     if t_end < t_start:
         raise ValueError(f"reversed interval [{t_start}, {t_end}]")
     if t_end == t_start:
         return 0.0
-    if p.rate_override is not None:
-        f = p.rate_override
-    else:
-        g0, w, sin, cos = p.gamma0, p.omega, math.sin, math.cos
-
-        def f(t: float) -> float:
-            return g0 * (1.0 - sin(cos(w * t)))
-
-    integral = adaptive_quadrature(f, t_start, t_end, QUAD_TOL,
-                                   max_panel=p.period / 4.0)
-    return -0.5 * integral
+    if p.constant_rate is not None:
+        return -0.5 * p.constant_rate * (t_end - t_start)
+    return -0.5 * _decay_integral(t_start, t_end, p)
 
 
 def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
@@ -197,8 +193,7 @@ def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
 
 def theta_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
     """Collision rotation angles theta_i = arccos(e^{kappa_i}), each in [0, pi/2)."""
-    amps = np.exp(kappa_schedule(grid, p))
-    return np.arccos(np.clip(amps, 0.0, 1.0))
+    return np.arccos(np.exp(kappa_schedule(grid, p)))
 
 
 def run_single(init: InitialState, p: DecayProfile,
@@ -216,40 +211,44 @@ def run_coupled(init1: InitialState, init2: InitialState,
 
     Each step damps both qubits independently (Kraus pairs extended by the
     identity on the partner, four cross terms) and then applies the coupling
-    gate. Requires both profiles to share omega so one grid drives both.
+    gate, built once for the whole run. Requires both profiles to share omega
+    so one grid drives both.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
     kappas = np.stack([kappa_schedule(grid, p1), kappa_schedule(grid, p2)], axis=1)
     rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
-    return _evolve(rho0, kappas, grid.times(p1.omega), spec, "coupled trajectory")
+    # the 'paper' convention conjugates as A^dag rho A, i.e. by B = A^dag
+    a = ops.interaction_unitary(spec)
+    gate = dagger(a) if spec.dagger_convention == "paper" else a
+    return _evolve(rho0, kappas, grid.times(p1.omega), gate, "coupled trajectory")
 
 
 def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, times: np.ndarray,
-            gate: ops.InteractionSpec | None, context: str) -> list[TrajectoryState]:
+            gate: np.ndarray | None, context: str) -> list[TrajectoryState]:
     """Step a one- or two-qubit state through the grid.
 
     Row i of ``kappa_rows`` holds each qubit's kappa for step i. A step sums
     op rho op^dag over the Kronecker products of the qubits' damping Kraus
-    operators, then conjugates by the coupling ``gate`` if there is one, and
-    validates the result.
+    operators, then conjugates the result as gate rho gate^dag if there is a
+    ``gate``, and validates it.
     """
     dim = rho0.shape[0]
     rho = rho0
-    states = [TrajectoryState(0, 0.0, rho)]
+    states = [TrajectoryState(0.0, rho)]
     for i, row in enumerate(kappa_rows.tolist()):
-        pair = ops.damping_kraus(min(row[0], 0.0))
+        pair = ops.damping_kraus(row[0])
         kraus = (pair.e0, pair.e1)
         if len(row) == 2:
-            partner = ops.damping_kraus(min(row[1], 0.0))
+            partner = ops.damping_kraus(row[1])
             kraus = [_kron(e, f) for e in kraus for f in (partner.e0, partner.e1)]
         first, *rest = kraus
         stepped = first @ rho @ dagger(first)
         for op in rest:
             stepped = stepped + op @ rho @ dagger(op)
-        rho = stepped if gate is None else ops.apply_interaction(stepped, gate)
+        rho = stepped if gate is None else gate @ stepped @ dagger(gate)
         require_density_matrix(rho, dim, context=f"{context}, step {i + 1}")
-        states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
+        states.append(TrajectoryState(float(times[i + 1]), rho))
     return states
 
 

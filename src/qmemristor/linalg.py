@@ -65,13 +65,3 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
         return np.einsum("ikjk->ij", blocks)
     return np.einsum("kikj->ij", blocks)
 
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian 2x2 or 4x4 matrix, sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise DimensionError(f"expected a square 2x2 or 4x4 matrix, got {m.shape}")
-    dev = np.abs(m - m.conj().T).max()
-    if dev > 1e-10:
-        raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
-    return np.linalg.eigvalsh(m)[::-1].copy()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ops
 from .dynamics import DecayProfile, TrajectoryState, decay_rate
-from .errors import StateError
+from .errors import NumericsError, StateError
 from .linalg import partial_trace
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
@@ -41,18 +41,6 @@ class ShotConfig:
             raise ValueError(f"shots must be >= 1 in sampled mode, got {self.shots}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class PhysicalUnits:
-    m: float = 1.0
-    hbar: float = 1.0
-    omega: float = 1.0
-
-    def __post_init__(self):
-        for name in ("m", "hbar", "omega"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -78,8 +66,6 @@ class ObservableTrace:
     t: np.ndarray
     qubits: tuple[QubitSeries, ...]
     concurrence: np.ndarray | None = None
-    mode: str = "exact"
-    shots: int = 0
 
 
 def exact_expectation(rho: np.ndarray, axis: str) -> float:
@@ -108,9 +94,9 @@ def sampled_expectation(rho: np.ndarray, axis: str, cfg: ShotConfig,
     return 2.0 * k / cfg.shots - 1.0
 
 
-def voltage(sy_s, u: PhysicalUnits):
-    """Memristive voltage -0.5 * sqrt(m*hbar*omega/2) * <sigma_y>."""
-    return -0.5 * math.sqrt(u.m * u.hbar * u.omega / 2.0) * np.asarray(sy_s)
+def voltage(sy_s, omega: float):
+    """Memristive voltage -0.5 * sqrt(omega/2) * <sigma_y> (natural units)."""
+    return -0.5 * math.sqrt(omega / 2.0) * np.asarray(sy_s)
 
 
 def finite_difference(y: np.ndarray, dt: float) -> np.ndarray:
@@ -141,11 +127,11 @@ def finite_difference(y: np.ndarray, dt: float) -> np.ndarray:
 
 
 def current_series(sx_s: np.ndarray, sy_s: np.ndarray, dt: float,
-                   u: PhysicalUnits) -> np.ndarray:
-    """Memristive current sqrt(m*hbar*omega/2) d<sigma_y>/dt - sqrt(m*omega/(2*hbar)) <sigma_x>."""
+                   omega: float) -> np.ndarray:
+    """Memristive current sqrt(omega/2) * (d<sigma_y>/dt - <sigma_x>) (natural units)."""
     dsy = finite_difference(np.asarray(sy_s, dtype=float), dt)
-    return (math.sqrt(u.m * u.hbar * u.omega / 2.0) * dsy
-            - math.sqrt(u.m * u.omega / (2.0 * u.hbar)) * np.asarray(sx_s, dtype=float))
+    scale = math.sqrt(omega / 2.0)
+    return scale * dsy - scale * np.asarray(sx_s, dtype=float)
 
 
 def _bloch_point(rho: np.ndarray, axis: str, cfg: ShotConfig,
@@ -157,7 +143,6 @@ def _bloch_point(rho: np.ndarray, axis: str, cfg: ShotConfig,
 
 def build_trace(states: Sequence[TrajectoryState],
                 profiles: Sequence[DecayProfile],
-                units: PhysicalUnits,
                 shots: ShotConfig,
                 concurrence: np.ndarray | None = None) -> ObservableTrace:
     """Assemble the observable series of a trajectory.
@@ -165,7 +150,9 @@ def build_trace(states: Sequence[TrajectoryState],
     ``profiles`` carries one decay profile per qubit; for 4x4 states each
     qubit's Bloch components come from its reduced state. Interaction-picture
     components are measured (optionally with shot noise), rotated to the lab
-    frame, and turned into voltage and current.
+    frame, and turned into voltage and current. Raises NumericsError if a
+    voltage or current is not finite (an omega so large that the finite
+    difference overflows).
     """
     n_qubits = 1 if states[0].rho.shape[0] == 2 else 2
     if len(profiles) != n_qubits:
@@ -187,11 +174,13 @@ def build_trace(states: Sequence[TrajectoryState],
             _check_bloch_norm(sx_i, sy_i)
         sx_s, sy_s = ops.frame_to_schroedinger(sx_i, sy_i, t, omega)
         gamma = np.array([decay_rate(ti, profiles[q]) for ti in t])
-        v = voltage(sy_s, units)
-        i_series = current_series(sx_s, sy_s, dt, units)
+        v = voltage(sy_s, omega)
+        i_series = current_series(sx_s, sy_s, dt, omega)
+        if not (np.isfinite(v).all() and np.isfinite(i_series).all()):
+            raise NumericsError(
+                f"qubit {q + 1}: voltage or current is not finite (omega={omega:g}, dt={dt:g})")
         series.append(QubitSeries(sx_i, sy_i, sx_s, sy_s, gamma, v, i_series))
-    return ObservableTrace(t=t, qubits=tuple(series), concurrence=concurrence,
-                           mode=shots.mode, shots=shots.shots if shots.mode == "sampled" else 0)
+    return ObservableTrace(t=t, qubits=tuple(series), concurrence=concurrence)
 
 
 def _check_bloch_norm(sx: np.ndarray, sy: np.ndarray) -> None:

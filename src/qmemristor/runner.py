@@ -8,13 +8,13 @@ entanglement events per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, dynamics, measurement, svgplot
-from .analysis import EntanglementEvent, HysteresisLoop, LoopMetrics
+from .analysis import EntanglementEvent, LoopMetrics
 from .config import RunConfig, apply_overrides
 from .errors import ConfigError
 from .measurement import ObservableTrace
@@ -27,8 +27,7 @@ DEFAULT_SCAN_DELTAS = tuple(np.linspace(0.1, 1.0, 10))
 class RunResult:
     config: RunConfig
     trace: ObservableTrace
-    loops: tuple[list[HysteresisLoop], ...]      # one list per qubit
-    metrics: tuple[list[LoopMetrics], ...]       # aligned with loops
+    metrics: tuple[list[LoopMetrics], ...]       # one list per qubit
     events: list[EntanglementEvent]
     files: tuple[Path, ...] = ()
 
@@ -50,17 +49,14 @@ def execute(config: RunConfig) -> RunResult:
                                       parts.profile1, parts.profile2,
                                       parts.grid, parts.interaction)
         conc = np.array([analysis.concurrence(s.rho) for s in states])
-    trace = measurement.build_trace(states, parts.profiles, parts.units,
-                                    parts.shots, concurrence=conc)
-    loops = []
-    metrics = []
-    for q in range(len(trace.qubits)):
-        q_loops = analysis.split_loops(trace, parts.grid, qubit=q)
-        loops.append(q_loops)
-        metrics.append([analysis.loop_metrics(l) for l in q_loops])
+    trace = measurement.build_trace(states, parts.profiles, parts.shots,
+                                    concurrence=conc)
+    metrics = tuple([analysis.loop_metrics(loop)
+                     for loop in analysis.split_loops(trace, parts.grid, qubit=q)]
+                    for q in range(len(trace.qubits)))
     events = (analysis.entanglement_events(zip(trace.t, conc))
               if conc is not None else [])
-    return RunResult(config, trace, tuple(loops), tuple(metrics), events)
+    return RunResult(config, trace, metrics, events)
 
 
 def run(config: RunConfig, out_dir) -> RunResult:
@@ -76,8 +72,7 @@ def run(config: RunConfig, out_dir) -> RunResult:
         files.append(out / name)
         _write_text(files[-1], metrics_csv(q_metrics))
     files += _write_plots(result, out)
-    return RunResult(result.config, result.trace, result.loops, result.metrics,
-                     result.events, tuple(files))
+    return replace(result, files=tuple(files))
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,13 @@ from qmemristor import (DecayProfile, InitialState, ShotConfig, TimeGrid,
 from qmemristor.analysis import loop_metrics
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import theta_schedule
-from qmemristor.measurement import (PhysicalUnits, finite_difference,
-                                    sampled_expectation)
+from qmemristor.measurement import finite_difference, sampled_expectation
 from qmemristor.ops import frame_to_schroedinger
 from qmemristor.presets import preset
 from qmemristor.qasm import export_circuit
 from qmemristor.runner import (DEFAULT_PINCH_TOL, DEFAULT_SCAN_DELTAS,
                                delta_scan, execute, run)
 
-UNITS = PhysicalUnits()
 EXACT = ShotConfig(mode="exact")
 
 

@@ -11,7 +11,7 @@ from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD, EntanglementEvent,
                                  entanglement_events, loop_metrics,
                                  split_loops)
 from qmemristor.dynamics import TimeGrid
-from qmemristor.errors import DimensionError
+from qmemristor.errors import DimensionError, NumericsError
 from qmemristor.measurement import ObservableTrace, QubitSeries
 
 from conftest import random_density_matrix, random_unitary
@@ -136,14 +136,8 @@ class TestLoopMetrics:
         assert m.form_factor == 0.0
 
     def test_degenerate_perimeter(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericsError):
             loop_metrics(polygon_loop([(1, 1), (1, 1), (1, 1)]))
-
-    def test_open_loop_rejected(self):
-        loop = HysteresisLoop(0, np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
-                              closed=False)
-        with pytest.raises(ValueError):
-            loop_metrics(loop)
 
     def test_bowtie_sums_lobes(self):
         # signed shoelace cancels the two triangles; the lobe split keeps both

@@ -167,13 +167,22 @@ class TestExitCodes:
         (dict(gamma0_1=math.inf), 2),
         (dict(omega=math.inf), 2),
         (dict(gamma0_1=1e308), 3),
-    ], ids=["gamma0_inf", "omega_inf", "gamma0_1e308"])
+        (dict(omega=1e300), 3),
+    ], ids=["gamma0_inf", "omega_inf", "gamma0_1e308", "omega_1e300"])
     def test_extreme_rates_fail_fast(self, tmp_path, fields, code):
+        # a1 = pi/4: with the default a1 = 0 a single run is rejected before
+        # the rates are looked at
         cfg_path = tmp_path / "run.cfg"
-        cfg_path.write_text(RunConfig(**fields).to_text())
+        cfg_path.write_text(RunConfig(a1=math.pi / 4, **fields).to_text())
         with deadline(1.0):
             rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == code
+
+    def test_default_single_config_is_a_config_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("mode = 'single'\n")
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "a1" in capsys.readouterr().err
 
     def test_numerical_failure(self, tmp_path, monkeypatch):
         def boom(config, out_dir):
@@ -183,6 +192,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli_module.runner, "run", boom)
         rc = main(["run", "--preset", "fig4", "--out", str(tmp_path)])
         assert rc == 3
+
+    def test_bare_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        def bug(config, out_dir):
+            raise ValueError("a programming error")
+        monkeypatch.setattr(runner, "run", bug)
+        with pytest.raises(ValueError, match="a programming error"):
+            main(["run", "--preset", "fig4", "--out", str(tmp_path)])
 
 
 class TestPresetsVerb:

@@ -48,7 +48,7 @@ class TestKappa:
         assert kappa(1.0, 1.0, FIG4_PROFILE) == 0.0
 
     def test_constant_rate_override(self):
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 0.8)
+        p = DecayProfile(1.0, 1.0, constant_rate=0.8)
         assert kappa(0.5, 2.5, p) == pytest.approx(-0.8, abs=1e-12)
 
     def test_full_period_symmetry(self):
@@ -85,7 +85,7 @@ class TestKappa:
 
 class TestThetaSchedule:
     def test_zero_rate_gives_zero_angle(self):
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 0.0)
+        p = DecayProfile(1.0, 1.0, constant_rate=0.0)
         thetas = theta_schedule(TimeGrid(1, 10), p)
         assert np.allclose(thetas, 0.0)
 
@@ -93,7 +93,7 @@ class TestThetaSchedule:
         # constant rate tuned so every step has kappa = ln(1/2)
         grid = TimeGrid(1, 10)
         dt = grid.dt(1.0)
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 2 * math.log(2) / dt)
+        p = DecayProfile(1.0, 1.0, constant_rate=2 * math.log(2) / dt)
         thetas = theta_schedule(grid, p)
         assert np.allclose(thetas, math.pi / 3, atol=1e-12)
 
@@ -110,7 +110,7 @@ class TestThetaSchedule:
 
 class TestRunSingle:
     def test_zero_rate_keeps_state_constant(self):
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 0.0)
+        p = DecayProfile(1.0, 1.0, constant_rate=0.0)
         states = run_single(FIG4_INIT, p, TimeGrid(1, 12))
         for s in states[1:]:
             assert np.abs(s.rho - states[0].rho).max() < 1e-14
@@ -151,13 +151,13 @@ class TestAnalyticOracle:
                       - init.density_matrix()).max() < 1e-14
 
     def test_full_decay_limit(self):
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 50.0)
+        p = DecayProfile(1.0, 1.0, constant_rate=50.0)
         out = analytic_oracle(InitialState(0.3, 0.7), p, 10.0)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_offdiagonal_magnitude(self):
         # constant rate 1 over t=1 gives kappa = -1/2
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 1.0)
+        p = DecayProfile(1.0, 1.0, constant_rate=1.0)
         out = analytic_oracle(InitialState(math.pi / 8, math.pi / 5), p, 1.0)
         expected = math.cos(math.pi / 8) * math.sin(math.pi / 8) * math.exp(-0.5)
         assert abs(out[0, 1]) == pytest.approx(expected, abs=1e-9)
@@ -166,7 +166,7 @@ class TestAnalyticOracle:
 
 class TestLindbladOracle:
     def test_unitary_limit(self):
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 0.0)
+        p = DecayProfile(1.0, 1.0, constant_rate=0.0)
         init = InitialState(0.4, 0.9)
         out = lindblad_oracle(init, p, 3.0, 1e-3)
         rho0 = init.density_matrix()
@@ -190,7 +190,7 @@ class TestLindbladOracle:
 
     def test_trace_drift_raises(self):
         # a step far above the stability limit of the stiff rate blows up
-        p = DecayProfile(1.0, 1.0, rate_override=lambda t: 400.0)
+        p = DecayProfile(1.0, 1.0, constant_rate=400.0)
         with pytest.raises(IntegrationError):
             lindblad_oracle(InitialState(0.0, 0.0), p, 10.0, 0.5)
 
@@ -290,6 +290,12 @@ class TestTypeValidation:
             with pytest.raises(ValueError):
                 DecayProfile(gamma0, omega)
 
+    def test_constant_rate_range(self):
+        for rate in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                DecayProfile(0.1, 1.0, constant_rate=rate)
+        assert DecayProfile(0.1, 1.0, constant_rate=0.0).constant_rate == 0.0
+
     def test_initial_state_ranges(self):
         with pytest.raises(ValueError):
             InitialState(-0.1, 0.0)
@@ -309,11 +315,11 @@ def reference_single(init, p, grid):
     times = grid.times(p.omega)
     kappas = kappa_schedule(grid, p)
     rho = init.density_matrix()
-    states = [TrajectoryState(0, 0.0, rho)]
+    states = [TrajectoryState(0.0, rho)]
     for i, k in enumerate(kappas):
         rho = apply_channel(rho, damping_kraus(min(k, 0.0)))
         require_density_matrix(rho, 2, context=f"single trajectory, step {i + 1}")
-        states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
+        states.append(TrajectoryState(float(times[i + 1]), rho))
     return states
 
 
@@ -322,7 +328,7 @@ def reference_coupled(init1, init2, p1, p2, grid, spec):
     k1 = kappa_schedule(grid, p1)
     k2 = kappa_schedule(grid, p2)
     rho = np.kron(init1.density_matrix(), init2.density_matrix())
-    states = [TrajectoryState(0, 0.0, rho)]
+    states = [TrajectoryState(0.0, rho)]
     for i in range(grid.n_steps):
         pair1 = damping_kraus(min(k1[i], 0.0))
         pair2 = damping_kraus(min(k2[i], 0.0))
@@ -333,14 +339,14 @@ def reference_coupled(init1, init2, p1, p2, grid, spec):
                 stepped += op @ rho @ dagger(op)
         rho = ops.apply_interaction(stepped, spec)
         require_density_matrix(rho, 4, context=f"coupled trajectory, step {i + 1}")
-        states.append(TrajectoryState(i + 1, float(times[i + 1]), rho))
+        states.append(TrajectoryState(float(times[i + 1]), rho))
     return states
 
 
 def assert_identical(states, reference):
     assert len(states) == len(reference)
     for s, r in zip(states, reference):
-        assert (s.step, s.time) == (r.step, r.time)
+        assert s.time == r.time
         assert np.array_equal(s.rho, r.rho)
 
 
@@ -350,11 +356,11 @@ grids = st.builds(TimeGrid, st.integers(1, 2), st.integers(8, 16))
 
 
 def profiles(omega):
-    """The oscillating profile or a constant-rate override, zero included."""
+    """The oscillating profile or a constant rate, zero included."""
     return st.one_of(
         st.builds(DecayProfile, st.floats(0.01, 1.0), st.just(omega)),
         st.floats(0.0, 2.0).map(
-            lambda r: DecayProfile(1.0, omega, rate_override=lambda t: r)))
+            lambda r: DecayProfile(1.0, omega, constant_rate=r)))
 
 
 couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),

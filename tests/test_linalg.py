@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qmemristor.errors import DimensionError, StateError
-from qmemristor.linalg import (hermitian_eigenvalues, partial_trace,
-                               require_density_matrix)
-from qmemristor.ops import IDENTITY_2, SIGMA_X, SIGMA_Y
+from qmemristor.linalg import partial_trace, require_density_matrix
+from qmemristor.ops import IDENTITY_2
 
 from conftest import random_density_matrix
 
@@ -44,32 +43,6 @@ class TestPartialTrace:
     def test_bad_subsystem(self, rng):
         with pytest.raises(ValueError):
             partial_trace(random_density_matrix(rng, 4), 3)
-
-
-class TestHermitianEigenvalues:
-    def test_diagonal(self):
-        vals = hermitian_eigenvalues(np.diag([3.0, 1.0, 2.0, 0.0]))
-        assert np.allclose(vals, [3, 2, 1, 0])
-
-    def test_sigma_x(self):
-        assert np.allclose(hermitian_eigenvalues(SIGMA_X), [1, -1])
-
-    def test_sigma_y_kron_sigma_y(self):
-        vals = hermitian_eigenvalues(np.kron(SIGMA_Y, SIGMA_Y))
-        assert np.allclose(vals, [1, 1, -1, -1])
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_residuals_on_random_hermitian(self, rng):
-        # sigma_min(M - lambda I) is the smallest achievable ||Mv - lambda v||
-        for _ in range(1000):
-            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-            m = 0.5 * (g + g.conj().T)
-            for lam in hermitian_eigenvalues(m):
-                smallest = np.linalg.svd(m - lam * np.eye(4), compute_uv=False).min()
-                assert smallest <= 1e-9
 
 
 class TestDensityMatrixValidation:

@@ -7,17 +7,15 @@ from qmemristor.config import apply_overrides
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  TrajectoryState, run_coupled, run_single)
 from qmemristor.errors import StateError
-from qmemristor.measurement import (PhysicalUnits, ShotConfig, build_trace,
-                                    current_series, exact_expectation,
-                                    finite_difference, sampled_expectation,
-                                    voltage)
+from qmemristor.measurement import (ShotConfig, build_trace, current_series,
+                                    exact_expectation, finite_difference,
+                                    sampled_expectation, voltage)
 from qmemristor.ops import InteractionSpec
 from qmemristor.presets import preset
 from qmemristor.runner import execute
 
 from conftest import random_density_matrix
 
-UNITS = PhysicalUnits()
 EXACT = ShotConfig(mode="exact")
 
 
@@ -100,33 +98,33 @@ class TestSampledExpectation:
 
 class TestVoltage:
     def test_zero(self):
-        assert voltage(0.0, UNITS) == 0.0
+        assert voltage(0.0, 1.0) == 0.0
 
     def test_unit_value(self):
-        assert voltage(-1.0, UNITS) == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-12)
+        assert voltage(-1.0, 1.0) == pytest.approx(1 / (2 * math.sqrt(2)), abs=1e-12)
 
     def test_omega_scaling(self):
-        v1 = voltage(0.6, PhysicalUnits(omega=1.0))
-        v4 = voltage(0.6, PhysicalUnits(omega=4.0))
+        v1 = voltage(0.6, 1.0)
+        v4 = voltage(0.6, 4.0)
         assert abs(v4 / v1) == pytest.approx(2.0, abs=1e-12)
 
 
 class TestCurrent:
     def test_static_series_is_zero(self):
         n = 40
-        series = current_series(np.zeros(n), np.full(n, 0.37), 0.1, UNITS)
+        series = current_series(np.zeros(n), np.full(n, 0.37), 0.1, 1.0)
         assert np.abs(series).max() < 1e-12
 
     def test_sinusoid_derivative(self):
         dt = 2 * math.pi / 30
         t = np.arange(31) * dt
-        series = current_series(np.zeros(31), np.sin(t), dt, UNITS)
+        series = current_series(np.zeros(31), np.sin(t), dt, 1.0)
         expected = math.sqrt(0.5) * math.cos(0.0)
         assert series[0] == pytest.approx(expected, rel=0.015)
 
     def test_rejects_short_series(self):
         with pytest.raises(ValueError):
-            current_series(np.zeros(2), np.zeros(2), 0.1, UNITS)
+            current_series(np.zeros(2), np.zeros(2), 0.1, 1.0)
 
     def test_linear_in_components(self, rng):
         n = 50
@@ -134,24 +132,24 @@ class TestCurrent:
         sx1, sy1 = rng.normal(size=n), rng.normal(size=n)
         sx2, sy2 = rng.normal(size=n), rng.normal(size=n)
         a, b = 0.7, -1.9
-        combined = current_series(a * sx1 + b * sx2, a * sy1 + b * sy2, dt, UNITS)
-        split = (a * current_series(sx1, sy1, dt, UNITS)
-                 + b * current_series(sx2, sy2, dt, UNITS))
+        combined = current_series(a * sx1 + b * sx2, a * sy1 + b * sy2, dt, 1.0)
+        split = (a * current_series(sx1, sy1, dt, 1.0)
+                 + b * current_series(sx2, sy2, dt, 1.0))
         assert np.abs(combined - split).max() < 1e-11
 
     def test_voltage_linear(self, rng):
         sy1, sy2 = rng.normal(size=20), rng.normal(size=20)
-        assert np.allclose(voltage(2 * sy1 - 3 * sy2, UNITS),
-                           2 * voltage(sy1, UNITS) - 3 * voltage(sy2, UNITS))
+        assert np.allclose(voltage(2 * sy1 - 3 * sy2, 1.0),
+                           2 * voltage(sy1, 1.0) - 3 * voltage(sy2, 1.0))
 
     def test_trace_wrapper_matches_stored_column(self):
         init = InitialState(math.pi / 4, math.pi / 5)
         profile = DecayProfile(0.4, 1.0)
         states = run_single(init, profile, TimeGrid(1, 15))
-        trace = build_trace(states, [profile], UNITS, EXACT)
+        trace = build_trace(states, [profile], EXACT)
         q = trace.qubits[0]
         dt = float(trace.t[1] - trace.t[0])
-        assert np.allclose(current_series(q.sx_s, q.sy_s, dt, UNITS), q.current)
+        assert np.allclose(current_series(q.sx_s, q.sy_s, dt, 1.0), q.current)
 
 
 class TestFiniteDifference:
@@ -183,13 +181,13 @@ class TestBuildTrace:
         profile = DecayProfile(0.4, 1.0)
         grid = TimeGrid(2, 30)
         states = run_single(init, profile, grid)
-        trace = build_trace(states, [profile], UNITS, EXACT)
+        trace = build_trace(states, [profile], EXACT)
         assert len(trace.qubits) == 1
         assert trace.t.shape == (grid.n_steps + 1,)
         q = trace.qubits[0]
         norms = q.sx_i ** 2 + q.sy_i ** 2
         assert np.all(norms <= 1 + 1e-9)
-        assert np.allclose(q.voltage, voltage(q.sy_s, UNITS))
+        assert np.allclose(q.voltage, voltage(q.sy_s, 1.0))
 
     def test_coupled_trace_has_two_qubits(self):
         init = InitialState(math.pi / 4, 0.0)
@@ -197,7 +195,7 @@ class TestBuildTrace:
         grid = TimeGrid(1, 10)
         states = run_coupled(init, init, p, p, grid, InteractionSpec("native", "y", 0.1))
         conc = np.zeros(grid.n_steps + 1)
-        trace = build_trace(states, [p, p], UNITS, EXACT, concurrence=conc)
+        trace = build_trace(states, [p, p], EXACT, concurrence=conc)
         assert len(trace.qubits) == 2
         assert trace.concurrence is not None
 
@@ -206,19 +204,19 @@ class TestBuildTrace:
         profile = DecayProfile(0.4, 1.0)
         grid = TimeGrid(1, 15)
         states = run_single(init, profile, grid)
-        t1 = build_trace(states, [profile], UNITS, sampled(5))
-        t2 = build_trace(states, [profile], UNITS, sampled(5))
+        t1 = build_trace(states, [profile], sampled(5))
+        t2 = build_trace(states, [profile], sampled(5))
         assert np.array_equal(t1.qubits[0].sx_i, t2.qubits[0].sx_i)
         assert np.array_equal(t1.qubits[0].current, t2.qubits[0].current)
-        t3 = build_trace(states, [profile], UNITS, sampled(6))
+        t3 = build_trace(states, [profile], sampled(6))
         assert not np.array_equal(t1.qubits[0].sx_i, t3.qubits[0].sx_i)
 
     def test_exact_bloch_norm_above_one_raises(self):
         # not a state: <sigma_x> = 1.2 puts the Bloch vector outside the disc
         bad = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-        states = [TrajectoryState(i, 0.1 * i, bad) for i in range(5)]
+        states = [TrajectoryState(0.1 * i, bad) for i in range(5)]
         with pytest.raises(StateError):
-            build_trace(states, [DecayProfile(0.4, 1.0)], UNITS, EXACT)
+            build_trace(states, [DecayProfile(0.4, 1.0)], EXACT)
 
     def test_sampled_shot_noise_outside_unit_disc_is_accepted(self):
         # at this seed shot noise puts one point of the equatorial fig4
@@ -232,7 +230,7 @@ class TestBuildTrace:
         profile = DecayProfile(0.4, 1.0)
         states = run_single(init, profile, TimeGrid(1, 10))
         with pytest.raises(ValueError):
-            build_trace(states, [profile, profile], UNITS, EXACT)
+            build_trace(states, [profile, profile], EXACT)
 
 
 class TestShotConfigValidation:
@@ -247,7 +245,3 @@ class TestShotConfigValidation:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             ShotConfig(mode="sampled", seed=-1)
-
-    def test_units_positive(self):
-        with pytest.raises(ValueError):
-            PhysicalUnits(m=0.0)
