@@ -11,7 +11,7 @@ import numpy as np
 from . import ops
 from .dynamics import TimeGrid
 from .errors import DimensionError, NumericsError
-from .linalg import require_density_matrix
+from .linalg import dagger, require_density_matrix
 from .measurement import ObservableTrace
 
 log = logging.getLogger(__name__)
@@ -134,34 +134,45 @@ def loop_metrics(loop: HysteresisLoop) -> LoopMetrics:
 _SPIN_FLIP = np.kron(ops.SIGMA_Y, ops.SIGMA_Y)
 
 
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit state.
+def concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """Wootters concurrence of a two-qubit state, or of each state in a stack.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho * (sy (x) sy) * conj(rho) * (sy (x) sy). Computed here
     through the Hermitian form sqrt(rho) rho_tilde sqrt(rho), which shares its
-    spectrum with the product.
+    spectrum with the product. A 4x4 state gives a float; a stack of shape
+    (n, 4, 4) is validated and decomposed in batched calls and gives an (n,)
+    array equal to the per-state values.
 
     References
     ----------
     https://en.wikipedia.org/wiki/Concurrence_(quantum_computing)
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise DimensionError(f"concurrence expects a 4x4 state, got {rho.shape}")
     require_density_matrix(rho, 4, context="concurrence input")
-    rho_tilde = _SPIN_FLIP @ rho.conj() @ _SPIN_FLIP
-    evals, vecs = np.linalg.eigh(rho)
-    evals = np.where(evals < 0.0, 0.0, evals)  # clamp the >= -1e-10 tail
-    sqrt_rho = (vecs * np.sqrt(evals)) @ vecs.conj().T
-    m = sqrt_rho @ rho_tilde @ sqrt_rho
-    m = 0.5 * (m + m.conj().T)
-    lams = np.linalg.eigvalsh(m)[::-1]
+    sqrt_rho = _psd_sqrt(rho)
+    m = sqrt_rho @ (_SPIN_FLIP @ rho.conj() @ _SPIN_FLIP) @ sqrt_rho
+    # in place, sparing a stack-sized temporary (dagger(m) is a copy, not a view)
+    m += dagger(m)
+    m *= 0.5
+    lams = np.linalg.eigvalsh(m)[..., ::-1]
     # the square root turns O(eps) spectral noise into O(1e-8); anything
     # below this floor is unresolvable and belongs to the zero modes
     lams = np.sqrt(np.where(lams < 1e-14, 0.0, lams))
-    c = lams[0] - lams[1] - lams[2] - lams[3]
-    return float(min(max(c, 0.0), 1.0))
+    c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    # min(max(c, 0.0), 1.0), elementwise and keeping NaN
+    c = np.where(0.0 > c, 0.0, c)
+    c = np.where(1.0 < c, 1.0, c)
+    return float(c) if rho.ndim == 2 else c
+
+
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian state (or stack) through its eigenbasis."""
+    evals, vecs = np.linalg.eigh(rho)
+    evals = np.where(evals < 0.0, 0.0, evals)  # clamp the >= -1e-10 tail
+    return (vecs * np.sqrt(evals)[..., None, :]) @ dagger(vecs)
 
 
 @dataclass(frozen=True)

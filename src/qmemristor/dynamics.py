@@ -103,7 +103,8 @@ class TrajectoryState:
     """State of a trajectory at time `time`.
 
     ``rho`` is the interaction-picture density matrix (2x2 for a single
-    memristor, 4x4 for a coupled pair).
+    memristor, 4x4 for a coupled pair). The states of one trajectory are
+    read-only views into one (n_steps+1, d, d) array.
     """
     time: float
     rho: np.ndarray
@@ -212,49 +213,69 @@ def run_coupled(init1: InitialState, init2: InitialState,
     Each step damps both qubits independently (Kraus pairs extended by the
     identity on the partner, four cross terms) and then applies the coupling
     gate, built once for the whole run. Requires both profiles to share omega
-    so one grid drives both.
+    so one grid drives both; equal profiles share one kappa schedule.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
-    kappas = np.stack([kappa_schedule(grid, p1), kappa_schedule(grid, p2)], axis=1)
+    k1 = kappa_schedule(grid, p1)
+    k2 = k1 if p2 == p1 else kappa_schedule(grid, p2)
     rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
     # the 'paper' convention conjugates as A^dag rho A, i.e. by B = A^dag
     a = ops.interaction_unitary(spec)
     gate = dagger(a) if spec.dagger_convention == "paper" else a
-    return _evolve(rho0, kappas, grid.times(p1.omega), gate, "coupled trajectory")
+    return _evolve(rho0, np.stack([k1, k2], axis=1), grid.times(p1.omega), gate,
+                   "coupled trajectory")
 
 
 def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, times: np.ndarray,
             gate: np.ndarray | None, context: str) -> list[TrajectoryState]:
     """Step a one- or two-qubit state through the grid.
 
-    Row i of ``kappa_rows`` holds each qubit's kappa for step i. A step sums
-    op rho op^dag over the Kronecker products of the qubits' damping Kraus
-    operators, then conjugates the result as gate rho gate^dag if there is a
-    ``gate``, and validates it.
+    Row i of ``kappa_rows`` holds each qubit's kappa for step i. The Kraus
+    operators of every step come from one ``ops.damping_kraus`` call per
+    qubit; for two qubits they are the four Kronecker products of the pairs.
+    A step sums op rho op^dag over them from the first term on, then
+    conjugates the result as gate rho gate^dag if there is a ``gate``. The
+    states fill one (n_steps+1, d, d) array, validated once after the loop;
+    each returned state's ``rho`` is a read-only view into it.
     """
+    kraus = _step_kraus(kappa_rows)
+    kraus_h = dagger(kraus)
+    gate_h = None if gate is None else dagger(gate)
     dim = rho0.shape[0]
-    rho = rho0
-    states = [TrajectoryState(0.0, rho)]
-    for i, row in enumerate(kappa_rows.tolist()):
-        pair = ops.damping_kraus(row[0])
-        kraus = (pair.e0, pair.e1)
-        if len(row) == 2:
-            partner = ops.damping_kraus(row[1])
-            kraus = [_kron(e, f) for e in kraus for f in (partner.e0, partner.e1)]
-        first, *rest = kraus
-        stepped = first @ rho @ dagger(first)
-        for op in rest:
-            stepped = stepped + op @ rho @ dagger(op)
-        rho = stepped if gate is None else gate @ stepped @ dagger(gate)
-        require_density_matrix(rho, dim, context=f"{context}, step {i + 1}")
-        states.append(TrajectoryState(float(times[i + 1]), rho))
-    return states
+    rhos = np.empty((len(times), dim, dim), dtype=complex)
+    rhos[0] = rho = rho0
+    for i in range(len(kraus)):
+        terms = kraus[i] @ rho @ kraus_h[i]
+        # added one by one: a reduction over the stack does not keep -0.0
+        rho = terms[0]
+        for term in terms[1:]:
+            rho = rho + term
+        if gate is not None:
+            rho = gate @ rho @ gate_h
+        rhos[i + 1] = rho
+    del kraus, kraus_h  # freed before the validation allocates its own stacks
+    require_density_matrix(rhos[1:], dim, context=context)
+    rhos.flags.writeable = False  # every state shares this buffer
+    return [TrajectoryState(t, r) for t, r in zip(times.tolist(), rhos)]
+
+
+def _step_kraus(kappa_rows: np.ndarray) -> np.ndarray:
+    """Kraus operators of every step, shape (n_steps, 2, 2, 2) for one qubit
+    and (n_steps, 4, 4, 4) for two, in the order e0, e1 (x) e0, e1."""
+    pairs = [ops.damping_kraus(kappa_rows[:, q]) for q in range(kappa_rows.shape[1])]
+    kraus = np.stack([pairs[0].e0, pairs[0].e1], axis=1)
+    if len(pairs) == 1:
+        return kraus
+    partner = np.stack([pairs[1].e0, pairs[1].e1], axis=1)
+    return _kron(kraus[:, :, None], partner[:, None, :]).reshape(-1, 4, 4, 4)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2x2 matrices as one broadcast multiply (same entries)."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+    """np.kron over the last two axes of 2x2 matrices, with leading axes
+    broadcast, as one broadcast multiply (same entries)."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (4, 4))
 
 
 def analytic_oracle(init: InitialState, p: DecayProfile, t: float) -> np.ndarray:

@@ -22,46 +22,59 @@ EIGENVALUE_FLOOR = -1e-10
 
 
 def dagger(m) -> np.ndarray:
-    return np.asarray(m).conj().T
+    """Conjugate transpose over the last two axes (a stack transposes each matrix)."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def require_density_matrix(rho: np.ndarray, dim: int | None = None,
                            context: str = "") -> np.ndarray:
-    """Validate hermiticity, unit trace and positivity of a state.
+    """Validate hermiticity, unit trace and positivity of a state or a stack of them.
 
     Tolerances: hermiticity 1e-12 (max entry deviation), trace 1e-10,
-    eigenvalues >= -1e-10.
+    eigenvalues >= -1e-10. A stack of shape (n, d, d) is checked with one
+    batched eigvalsh and raises the error the per-state call would raise for
+    its first bad state, with "step k" (1-based) added to the context.
     """
     rho = np.asarray(rho, dtype=complex)
     where = f" ({context})" if context else ""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
+    if (rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]
+            or rho.shape[-1] not in (2, 4)):
         raise DimensionError(f"density matrix must be 2x2 or 4x4, got {rho.shape}{where}")
-    if dim is not None and rho.shape[0] != dim:
+    if dim is not None and rho.shape[-1] != dim:
         raise DimensionError(f"expected a {dim}-dimensional state, got {rho.shape}{where}")
-    herm_dev = np.abs(rho - rho.conj().T).max()
-    if herm_dev > HERMITICITY_TOL:
-        raise StateError(f"state not Hermitian: max deviation {herm_dev:.3e}{where}")
-    trace_dev = abs(rho.trace() - 1.0)
-    if trace_dev > TRACE_TOL:
-        raise StateError(f"state trace deviates from 1 by {trace_dev:.3e}{where}")
-    lowest = np.linalg.eigvalsh(rho).min()
-    if lowest < EIGENVALUE_FLOOR:
-        raise StateError(f"state has eigenvalue {lowest:.3e} below floor{where}")
-    return rho
+    stack = rho if rho.ndim == 3 else rho[None]
+    herm_dev = np.abs(stack - dagger(stack)).max(axis=(1, 2))
+    trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    failed = (herm_dev > HERMITICITY_TOL) | (trace_dev > TRACE_TOL)
+    cut = int(np.argmax(failed)) if failed.any() else len(stack)
+    # state by state, the eigenvalue check never runs past the first state
+    # that fails a cheaper check
+    lowest = np.linalg.eigvalsh(stack[:cut]).min(axis=1)
+    negative = lowest < EIGENVALUE_FLOOR
+    first = int(np.argmax(negative)) if negative.any() else cut
+    if first == len(stack):
+        return rho
+    if rho.ndim == 3:
+        where = f" ({context}, step {first + 1})" if context else f" (step {first + 1})"
+    if herm_dev[first] > HERMITICITY_TOL:
+        raise StateError(f"state not Hermitian: max deviation {herm_dev[first]:.3e}{where}")
+    if trace_dev[first] > TRACE_TOL:
+        raise StateError(f"state trace deviates from 1 by {trace_dev[first]:.3e}{where}")
+    raise StateError(f"state has eigenvalue {lowest[first]:.3e} below floor{where}")
 
 
 def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
-    """Reduced state of one qubit of a two-qubit density matrix.
+    """Reduced state of one qubit of a two-qubit density matrix, or of each in a stack.
 
     ``keep`` is 1 for the first (slow-index) qubit, 2 for the second.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise DimensionError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
     if keep not in (1, 2):
         raise ValueError(f"keep must be 1 or 2, got {keep!r}")
-    blocks = rho.reshape(2, 2, 2, 2)
+    blocks = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     if keep == 1:
-        return np.einsum("ikjk->ij", blocks)
-    return np.einsum("kikj->ij", blocks)
+        return np.einsum("...ikjk->...ij", blocks)
+    return np.einsum("...kikj->...ij", blocks)
 

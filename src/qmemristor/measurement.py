@@ -25,6 +25,7 @@ from .errors import NumericsError, StateError
 from .linalg import partial_trace
 
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
+_TRANSVERSE = np.stack([ops.SIGMA_X, ops.SIGMA_Y])
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,6 @@ def current_series(sx_s: np.ndarray, sy_s: np.ndarray, dt: float,
     return scale * dsy - scale * np.asarray(sx_s, dtype=float)
 
 
-def _bloch_point(rho: np.ndarray, axis: str, cfg: ShotConfig,
-                 stream: tuple[int, ...]) -> float:
-    if cfg.mode == "sampled":
-        return sampled_expectation(rho, axis, cfg, stream)
-    return exact_expectation(rho, axis)
-
-
 def build_trace(states: Sequence[TrajectoryState],
                 profiles: Sequence[DecayProfile],
                 shots: ShotConfig,
@@ -148,11 +142,14 @@ def build_trace(states: Sequence[TrajectoryState],
     """Assemble the observable series of a trajectory.
 
     ``profiles`` carries one decay profile per qubit; for 4x4 states each
-    qubit's Bloch components come from its reduced state. Interaction-picture
-    components are measured (optionally with shot noise), rotated to the lab
-    frame, and turned into voltage and current. Raises NumericsError if a
-    voltage or current is not finite (an omega so large that the finite
-    difference overflows).
+    qubit's Bloch components come from its reduced state. The states are
+    stacked into one (n, d, d) array: the reduced states come from one
+    einsum per qubit, and exact components from one stacked matmul and trace,
+    equal to ``exact_expectation`` point by point. Sampled components call
+    ``sampled_expectation`` once per point. The interaction-picture
+    components are rotated to the lab frame and turned into voltage and
+    current. Raises NumericsError if a voltage or current is not finite (an
+    omega so large that the finite difference overflows).
     """
     n_qubits = 1 if states[0].rho.shape[0] == 2 else 2
     if len(profiles) != n_qubits:
@@ -160,22 +157,23 @@ def build_trace(states: Sequence[TrajectoryState],
     t = np.array([s.time for s in states])
     dt = float(t[1] - t[0])
     omega = profiles[0].omega
+    rhos = np.stack([s.rho for s in states])
     series = []
     for q in range(n_qubits):
-        if n_qubits == 1:
-            rhos = [s.rho for s in states]
+        reduced = rhos if n_qubits == 1 else partial_trace(rhos, keep=q + 1)
+        if shots.mode == "sampled":
+            sx_i, sy_i = (np.array([sampled_expectation(r, axis, shots, (q, i))
+                                    for i, r in enumerate(reduced)])
+                          for axis in ("x", "y"))
         else:
-            rhos = [partial_trace(s.rho, keep=q + 1) for s in states]
-        sx_i = np.array([_bloch_point(r, "x", shots, (q, i))
-                         for i, r in enumerate(rhos)])
-        sy_i = np.array([_bloch_point(r, "y", shots, (q, i))
-                         for i, r in enumerate(rhos)])
-        if shots.mode == "exact":
+            sx_i, sy_i = np.trace(_TRANSVERSE[:, None] @ reduced, axis1=2, axis2=3).real.copy()
             _check_bloch_norm(sx_i, sy_i)
         sx_s, sy_s = ops.frame_to_schroedinger(sx_i, sy_i, t, omega)
         gamma = np.array([decay_rate(ti, profiles[q]) for ti in t])
-        v = voltage(sy_s, omega)
-        i_series = current_series(sx_s, sy_s, dt, omega)
+        # the finite check below reports an overflow; numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = voltage(sy_s, omega)
+            i_series = current_series(sx_s, sy_s, dt, omega)
         if not (np.isfinite(v).all() and np.isfinite(i_series).all()):
             raise NumericsError(
                 f"qubit {q + 1}: voltage or current is not finite (omega={omega:g}, dt={dt:g})")

@@ -63,17 +63,25 @@ class KrausPair:
         return float(np.abs(total - IDENTITY_2).max())
 
 
-def damping_kraus(kappa: float) -> KrausPair:
+def damping_kraus(kappa) -> KrausPair:
     """Amplitude-damping Kraus pair for log-amplitude kappa <= 0.
 
     E0 = diag(e^kappa, 1) keeps the excited amplitude scaled by e^kappa;
-    E1 moves the lost population to the ground state.
+    E1 moves the lost population to the ground state. An array of kappas
+    gives stacked operators of shape kappa.shape + (2, 2), equal entry for
+    entry to the scalar calls: e^kappa comes from math.exp, because numpy's
+    exp can differ from it in the last bit.
     """
-    if kappa > 0:
-        raise ValueError(f"kappa must be <= 0, got {kappa}")
-    amp = math.exp(kappa)
-    e0 = np.array([[amp, 0.0], [0.0, 1.0]], dtype=complex)
-    e1 = np.array([[0.0, 0.0], [math.sqrt(1.0 - amp * amp), 0.0]], dtype=complex)
+    k = np.asarray(kappa, dtype=float)
+    above = k[k > 0]
+    if above.size:
+        raise ValueError(f"kappa must be <= 0, got {above[0]}")
+    amp = np.array([math.exp(x) for x in k.ravel().tolist()]).reshape(k.shape)
+    e0 = np.zeros(k.shape + (2, 2), dtype=complex)
+    e0[..., 0, 0] = amp
+    e0[..., 1, 1] = 1.0
+    e1 = np.zeros(k.shape + (2, 2), dtype=complex)
+    e1[..., 1, 0] = np.sqrt(1.0 - amp * amp)
     return KrausPair(e0, e1)
 
 

@@ -48,7 +48,7 @@ def execute(config: RunConfig) -> RunResult:
         states = dynamics.run_coupled(parts.init1, parts.init2,
                                       parts.profile1, parts.profile2,
                                       parts.grid, parts.interaction)
-        conc = np.array([analysis.concurrence(s.rho) for s in states])
+        conc = analysis.concurrence(np.stack([s.rho for s in states]))
     trace = measurement.build_trace(states, parts.profiles, parts.shots,
                                     concurrence=conc)
     metrics = tuple([analysis.loop_metrics(loop)

@@ -11,7 +11,7 @@ from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD, EntanglementEvent,
                                  entanglement_events, loop_metrics,
                                  split_loops)
 from qmemristor.dynamics import TimeGrid
-from qmemristor.errors import DimensionError, NumericsError
+from qmemristor.errors import DimensionError, NumericsError, StateError
 from qmemristor.measurement import ObservableTrace, QubitSeries
 
 from conftest import random_density_matrix, random_unitary
@@ -243,6 +243,28 @@ class TestConcurrence:
     def test_rejects_single_qubit(self, rng):
         with pytest.raises(DimensionError):
             concurrence(random_density_matrix(rng, 2))
+        with pytest.raises(DimensionError):
+            concurrence(np.stack([random_density_matrix(rng, 2)] * 3))
+
+    def test_stack_equals_per_state_calls(self, rng):
+        bell = np.zeros(4, dtype=complex)
+        bell[0] = bell[3] = 1 / math.sqrt(2)
+        bell = np.outer(bell, bell.conj())
+        states = [bell, np.kron(random_density_matrix(rng), random_density_matrix(rng))]
+        states += [p * bell + (1 - p) * np.eye(4) / 4 for p in np.linspace(0, 1, 21)]
+        states += [random_density_matrix(rng, 4) for _ in range(200)]
+        stack = np.stack(states)
+        values = concurrence(stack)
+        assert values.shape == (len(states),)
+        per_state = [concurrence(rho) for rho in states]
+        assert all(isinstance(c, float) for c in per_state)
+        assert np.array_equal(values, per_state)
+
+    def test_stack_names_the_bad_state(self, rng):
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(4)])
+        stack[2] = np.eye(4)
+        with pytest.raises(StateError, match=r"concurrence input, step 3"):
+            concurrence(stack)
 
 
 class TestEntanglementEvents:

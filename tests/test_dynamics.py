@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemristor import ops
+from qmemristor import dynamics, ops
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  TrajectoryState, analytic_oracle, decay_rate,
                                  kappa, kappa_schedule, lindblad_oracle,
@@ -261,6 +261,22 @@ class TestRunCoupled:
         lhs1 = apply_channel(init1.density_matrix(), damping_kraus(k1))
         lhs2 = apply_channel(init2.density_matrix(), damping_kraus(k2))
         assert np.abs(joint.rho - np.kron(lhs1, lhs2)).max() < 1e-13
+
+    def test_equal_profiles_share_one_kappa_schedule(self, monkeypatch):
+        calls = []
+
+        def counted(grid, p):
+            calls.append(p)
+            return kappa_schedule(grid, p)
+
+        monkeypatch.setattr(dynamics, "kappa_schedule", counted)
+        init = InitialState(0.3, 0.0)
+        grid = TimeGrid(1, 8)
+        p = DecayProfile(0.1, 1.0)
+        run_coupled(init, init, p, DecayProfile(0.1, 1.0), grid, InteractionSpec("none"))
+        assert calls == [p]
+        run_coupled(init, init, p, DecayProfile(0.2, 1.0), grid, InteractionSpec("none"))
+        assert calls == [p, p, DecayProfile(0.2, 1.0)]
 
     def test_rejects_mismatched_omega(self):
         init = InitialState(0.3, 0.0)

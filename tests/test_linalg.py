@@ -66,3 +66,84 @@ class TestDensityMatrixValidation:
     def test_rejects_wrong_dim(self, rng):
         with pytest.raises(DimensionError):
             require_density_matrix(random_density_matrix(rng, 2), 4)
+
+
+def _bad_state(kind, dim):
+    """A state that fails exactly the named check (and every later one may pass)."""
+    if kind == "hermitian":
+        bad = np.eye(dim, dtype=complex) / dim
+        bad[0, 1] = 0.1
+        return bad
+    if kind == "trace":
+        return np.eye(dim, dtype=complex)
+    bad = np.diag([1.2] + [0.0] * (dim - 2) + [-0.2]).astype(complex)
+    return bad
+
+
+def _per_state_message(rho, dim, context):
+    with pytest.raises(StateError) as err:
+        require_density_matrix(rho, dim, context=context)
+    return str(err.value)
+
+
+class TestDensityMatrixStack:
+    def test_accepts_valid_stack(self, rng):
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(5)])
+        assert require_density_matrix(stack, 4) is stack
+
+    @pytest.mark.parametrize("kind", ["hermitian", "trace", "eigenvalue"])
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    def test_names_the_bad_step_like_the_per_state_call(self, rng, kind, dim, k):
+        stack = np.stack([random_density_matrix(rng, dim) for _ in range(7)])
+        stack[k] = _bad_state(kind, dim)
+        with pytest.raises(StateError) as err:
+            require_density_matrix(stack, dim, context="run")
+        assert str(err.value) == _per_state_message(stack[k], dim, f"run, step {k + 1}")
+
+    def test_without_context(self, rng):
+        stack = np.stack([random_density_matrix(rng) for _ in range(3)])
+        stack[1] = _bad_state("trace", 2)
+        with pytest.raises(StateError, match=r"\(step 2\)$"):
+            require_density_matrix(stack)
+
+    @pytest.mark.parametrize("first, later", [("eigenvalue", "hermitian"),
+                                              ("hermitian", "eigenvalue"),
+                                              ("trace", "hermitian")])
+    def test_first_bad_step_wins(self, rng, first, later):
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
+        stack[2] = _bad_state(first, 4)
+        stack[4] = _bad_state(later, 4)
+        with pytest.raises(StateError) as err:
+            require_density_matrix(stack, 4, context="run")
+        assert str(err.value) == _per_state_message(stack[2], 4, "run, step 3")
+
+    def test_check_order_within_a_state(self, rng):
+        # not Hermitian, off trace and with a negative eigenvalue at once:
+        # the hermiticity check reports first, as it does for one state
+        bad = np.diag([1.5, -0.2]).astype(complex)
+        bad[0, 1] = 0.3
+        stack = np.stack([random_density_matrix(rng), bad])
+        with pytest.raises(StateError, match="not Hermitian") as err:
+            require_density_matrix(stack, 2, context="run")
+        assert str(err.value) == _per_state_message(bad, 2, "run, step 2")
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 2, 4), (2, 2, 2, 2), (3, 2)])
+    def test_rejects_bad_shapes(self, shape):
+        with pytest.raises(DimensionError, match="must be 2x2 or 4x4"):
+            require_density_matrix(np.zeros(shape, dtype=complex))
+
+    def test_rejects_wrong_dim(self, rng):
+        stack = np.stack([random_density_matrix(rng) for _ in range(3)])
+        with pytest.raises(DimensionError, match=r"expected a 4-dimensional state, got \(3, 2, 2\)"):
+            require_density_matrix(stack, 4)
+
+
+class TestPartialTraceStack:
+    def test_equals_per_state_calls(self, rng):
+        stack = np.stack([random_density_matrix(rng, 4) for _ in range(10)])
+        for keep in (1, 2):
+            reduced = partial_trace(stack, keep)
+            assert reduced.shape == (10, 2, 2)
+            expected = np.stack([partial_trace(r, keep) for r in stack])
+            assert reduced.tobytes() == expected.tobytes()

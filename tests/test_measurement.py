@@ -7,6 +7,7 @@ from qmemristor.config import apply_overrides
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  TrajectoryState, run_coupled, run_single)
 from qmemristor.errors import StateError
+from qmemristor.linalg import partial_trace
 from qmemristor.measurement import (ShotConfig, build_trace, current_series,
                                     exact_expectation, finite_difference,
                                     sampled_expectation, voltage)
@@ -224,6 +225,37 @@ class TestBuildTrace:
         result = execute(apply_overrides(preset("fig4"), seed=126))
         q = result.trace.qubits[0]
         assert float(np.max(q.sx_i ** 2 + q.sy_i ** 2)) > 1.0
+
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_exact_columns_equal_per_point_expectations(self, coupled):
+        init = InitialState(math.pi / 5, 1.1)
+        p = DecayProfile(0.3, 1.0)
+        grid = TimeGrid(2, 30)
+        if coupled:
+            states = run_coupled(init, InitialState(0.4, 2.5), p, p, grid,
+                                 InteractionSpec("controlled_rotation", "x", 0.7))
+            reduced = [[partial_trace(s.rho, q + 1) for s in states] for q in (0, 1)]
+        else:
+            states = run_single(init, p, grid)
+            reduced = [[s.rho for s in states]]
+        trace = build_trace(states, [p] * len(reduced), EXACT)
+        for series, rhos in zip(trace.qubits, reduced):
+            for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
+                expected = np.array([exact_expectation(r, axis) for r in rhos])
+                assert column.tobytes() == expected.tobytes()
+
+    def test_sampled_columns_use_one_stream_per_point(self):
+        init = InitialState(math.pi / 4, 0.5)
+        p = DecayProfile(0.3, 1.0)
+        states = run_coupled(init, init, p, p, TimeGrid(1, 10),
+                             InteractionSpec("native", "y", 0.2))
+        cfg = sampled(11, shots=100)
+        trace = build_trace(states, [p, p], cfg)
+        for q, series in enumerate(trace.qubits):
+            for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
+                expected = [sampled_expectation(partial_trace(s.rho, q + 1), axis, cfg, (q, i))
+                            for i, s in enumerate(states)]
+                assert np.array_equal(column, expected)
 
     def test_profile_count_mismatch(self):
         init = InitialState(0.3, 0.0)

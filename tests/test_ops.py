@@ -49,6 +49,28 @@ class TestDampingKraus:
         with pytest.raises(ValueError):
             damping_kraus(0.01)
 
+    def test_array_equals_scalar_calls(self, rng):
+        kappas = np.concatenate([rng.uniform(-10.0, 0.0, size=3000),
+                                 [0.0, -0.0, -1e-300, -745.0, -800.0]])
+        pair = damping_kraus(kappas)
+        assert pair.e0.shape == pair.e1.shape == (kappas.size, 2, 2)
+        for k, e0, e1 in zip(kappas.tolist(), pair.e0, pair.e1):
+            single = damping_kraus(k)
+            assert e0.tobytes() == single.e0.tobytes()
+            assert e1.tobytes() == single.e1.tobytes()
+            # and the formula in Python floats: numpy's exp would differ
+            # from math.exp in the last bit for some kappas
+            amp = math.exp(k)
+            formula = np.array([[amp, 0.0], [0.0, 1.0]], dtype=complex)
+            assert e0.tobytes() == formula.tobytes()
+            assert e1[1, 0] == math.sqrt(1.0 - amp * amp)
+
+    def test_array_rejects_any_positive_entry(self):
+        kappas = np.full(10, -0.5)
+        kappas[7] = 1e-3
+        with pytest.raises(ValueError, match="kappa must be <= 0, got 0.001"):
+            damping_kraus(kappas)
+
 
 class TestApplyChannel:
     def test_ground_state_fixed_point(self, rng):

@@ -6,6 +6,7 @@ documented errors: ConfigError (exit 2) or NumericsError (exit 3).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,13 @@ class TestAcceptedConfigsRunOrFailFast:
         # the finite-difference current sqrt(omega/2) * dsigma/dt overflows
         with deadline(2.0), pytest.raises(NumericsError, match="not finite"):
             execute(RunConfig(a1=math.pi / 4, omega=1e300))
+
+    def test_extreme_omega_fails_without_a_numpy_warning(self):
+        # the overflow is reported once, as the NumericsError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with deadline(2.0), pytest.raises(NumericsError, match="not finite"):
+                execute(RunConfig(a1=math.pi / 4, omega=1e300))
 
     @pytest.mark.parametrize("omega", [5e-324, 1e308])
     def test_omega_without_a_finite_positive_time_step_is_rejected(self, omega):
