@@ -83,6 +83,63 @@ class TestKappa:
         assert joined == pytest.approx(split, abs=5e-11)
 
 
+def simpson_kappa(t, p, panels=200_000):
+    """-(1/2) * integral of the rate formula over [0, t] by a composite Simpson rule."""
+    s = np.linspace(0.0, t, 2 * panels + 1)
+    f = p.gamma0 * (1.0 - np.sin(np.cos(p.omega * s)))
+    h = t / (2 * panels)
+    return -0.5 * h / 3.0 * (f[0] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum() + f[-1])
+
+
+class TestKappaClosedForm:
+    ORDERS = [n for n, _ in dynamics._SIN_COS_SERIES]
+
+    def bessel_values(self):
+        return [dynamics._bessel_j_at_1(n) for n in self.ORDERS]
+
+    def test_bessel_values_match_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        # scipy's jv is itself off by up to 1.1e-14 relative here (at J_23(1))
+        for n, value in zip(self.ORDERS, self.bessel_values()):
+            assert value == pytest.approx(special.jv(n, 1.0), rel=2e-14, abs=0.0)
+
+    def test_bessel_values_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n, value in zip(self.ORDERS, self.bessel_values()):
+                assert value == float(mpmath.besselj(n, 1))
+
+    def test_series_identity(self):
+        # Jacobi-Anger at x = 0: sin 1 = 2 * sum_k (-1)^k J_{2k+1}(1)
+        series = 2 * sum((-1) ** k * j for k, j in enumerate(self.bessel_values()))
+        assert series == pytest.approx(math.sin(1.0), rel=4e-16, abs=0.0)
+
+    @pytest.mark.parametrize("t", [0.3, 2 * math.pi, 9.7, 25.0])
+    def test_matches_brute_force_simpson(self, t):
+        p = DecayProfile(0.7, 1.3)
+        assert dynamics._kappa_closed_form(t, p) == pytest.approx(
+            simpson_kappa(t, p), abs=1e-12)
+
+    def test_matches_quadrature_kappa(self, rng):
+        for _ in range(100):
+            p = DecayProfile(rng.uniform(0.01, 2.0), rng.uniform(0.2, 5.0))
+            t = rng.uniform(0.0, 30.0)
+            assert dynamics._kappa_closed_form(t, p) == pytest.approx(
+                kappa(0.0, t, p), abs=1e-13)
+
+    def test_constant_rate(self):
+        p = DecayProfile(1.0, 1.0, constant_rate=0.8)
+        assert dynamics._kappa_closed_form(2.5, p) == -0.5 * 0.8 * 2.5
+
+    def test_zero_time(self):
+        assert dynamics._kappa_closed_form(0.0, FIG4_PROFILE) == 0.0
+
+    @pytest.mark.parametrize("t", [-1e-9, -2.0, math.nan])
+    def test_rejects_negative_time(self, t):
+        with pytest.raises(ValueError):
+            dynamics._kappa_closed_form(t, FIG4_PROFILE)
+
+
 class TestThetaSchedule:
     def test_zero_rate_gives_zero_angle(self):
         p = DecayProfile(1.0, 1.0, constant_rate=0.0)
@@ -163,6 +220,25 @@ class TestAnalyticOracle:
         assert abs(out[0, 1]) == pytest.approx(expected, abs=1e-9)
         assert abs(out[0, 1]) == pytest.approx(0.214441, abs=1e-5)
 
+    def test_independent_of_the_quadrature(self, monkeypatch):
+        states = run_single(FIG4_INIT, FIG4_PROFILE, TimeGrid(4, 30))
+
+        def broken(*args):
+            raise AssertionError("the analytic oracle reached the quadrature")
+        monkeypatch.setattr(dynamics, "kappa", broken)
+        monkeypatch.setattr(dynamics, "_decay_integral", broken)
+        # the oscillating part integrates to zero over whole periods
+        amp = math.exp(-0.4 * math.pi)
+        c, s = math.cos(FIG4_INIT.a), math.sin(FIG4_INIT.a)
+        coher = c * s * amp * complex(math.cos(FIG4_INIT.b), -math.sin(FIG4_INIT.b))
+        expected = np.array([[c * c * amp * amp, coher],
+                             [coher.conjugate(), 1.0 - c * c * amp * amp]])
+        assert np.abs(analytic_oracle(FIG4_INIT, FIG4_PROFILE, 2 * math.pi)
+                      - expected).max() <= 1e-14
+        for state in states:
+            oracle = analytic_oracle(FIG4_INIT, FIG4_PROFILE, state.time)
+            assert np.abs(state.rho - oracle).max() <= 1e-9
+
 
 class TestLindbladOracle:
     def test_unitary_limit(self):
@@ -197,6 +273,21 @@ class TestLindbladOracle:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 0.0)
+
+    def test_rate_table_matches_decay_rate(self, rng):
+        h = 0.37
+        starts = np.sort(rng.uniform(0.0, 50.0, size=400))
+        for p in (FIG4_PROFILE, DecayProfile(2.3, 3.7)):
+            table = dynamics._rk4_rates(p, starts, h)
+            ref = np.array([[decay_rate(t, p), decay_rate(t + 0.5 * h, p), decay_rate(t + h, p)]
+                            for t in starts])
+            assert table.shape == (400, 3)
+            assert np.all(np.abs(table - ref) <= 4 * np.spacing(ref))
+
+    def test_rate_table_exact_for_constant_rate(self):
+        p = DecayProfile(1.0, 1.0, constant_rate=0.123)
+        table = dynamics._rk4_rates(p, np.arange(5) * 0.1, 0.1)
+        assert np.array_equal(table, np.full((5, 3), 0.123))
 
 
 class TestDigitalAgainstLindblad:
