@@ -1,9 +1,10 @@
 """Run orchestration: dynamics -> measurement -> analysis -> files.
 
 A run writes one trace CSV, one metrics CSV per qubit, and SVG plots into its
-output directory, then reports a text summary. ``delta_scan`` repeats a
-coupled run across coupling strengths and summarizes pinch survival and
-entanglement events per point.
+output directory, then reports a text summary. Every CSV goes through one
+table writer, ``_table``, which prints each value, counts and flags included,
+as ``%.12g``. ``delta_scan`` repeats a coupled run across coupling strengths
+and summarizes pinch survival and entanglement events per point.
 """
 
 from __future__ import annotations
@@ -62,17 +63,15 @@ def execute(config: RunConfig) -> RunResult:
 def run(config: RunConfig, out_dir) -> RunResult:
     """Execute a run and write its artifacts under ``out_dir``."""
     result = execute(config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    files = [out / "trace.csv"]
-    _write_text(files[-1], trace_csv(result.trace))
     coupled = len(result.trace.qubits) == 2
+    texts = {"trace.csv": trace_csv(result.trace)}
     for q, q_metrics in enumerate(result.metrics):
-        name = f"metrics_q{q + 1}.csv" if coupled else "metrics.csv"
-        files.append(out / name)
-        _write_text(files[-1], metrics_csv(q_metrics))
-    files += _write_plots(result, out)
-    return replace(result, files=tuple(files))
+        texts[f"metrics_q{q + 1}.csv" if coupled else "metrics.csv"] = metrics_csv(q_metrics)
+    texts.update(_plots(result))
+    files = tuple(Path(out_dir) / name for name in texts)
+    for path, text in zip(files, texts.values()):
+        _write_text(path, text)
+    return replace(result, files=files)
 
 
 @dataclass(frozen=True)
@@ -91,21 +90,27 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     Pinch pass/fail compares the worst per-period pinch distance against
     ``pinch_tol``; death/birth counts come from the concurrence series.
     Writes per-delta run directories plus scan_summary.csv when ``out_dir``
-    is given.
+    is given; deltas whose directory names (4 decimals) collide are then
+    rejected before any run starts.
     """
     if base.mode != "coupled":
         raise ConfigError("delta_scan needs a coupled configuration")
-    rows = []
+    deltas = [float(d) for d in deltas]
+    dirs = [f"delta_{d:.4f}" for d in deltas]
     out = Path(out_dir) if out_dir is not None else None
-    for d in deltas:
-        cfg = apply_overrides(base, delta=float(d))
+    clash = [d for d, name in zip(deltas, dirs) if dirs.count(name) > 1]
+    if out is not None and clash:
+        raise ConfigError(f"deltas {clash} share run directory names at 4 decimals")
+    rows = []
+    for d, name in zip(deltas, dirs):
+        cfg = apply_overrides(base, delta=d)
         if out is not None:
-            result = run(cfg, out / f"delta_{d:.4f}")
+            result = run(cfg, out / name)
         else:
             result = execute(cfg)
         kinds = [e.kind for e in result.events]
         rows.append(ScanRow(
-            delta=float(d),
+            delta=d,
             mean_f=tuple(result.mean_form_factor(q) for q in range(2)),
             pinch_pass=tuple(result.max_pinch(q) <= pinch_tol for q in range(2)),
             deaths=kinds.count("death"),
@@ -116,44 +121,36 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     return rows
 
 
-def _num(x: float) -> str:
-    return f"{x:.12g}"
+def _table(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row, every value as %.12g."""
+    line = ",".join(["%.12g"] * len(header))
+    body = [line % tuple(row) for row in np.asarray(rows, float).tolist()]
+    return "\n".join([",".join(header)] + body) + "\n"
 
 
 def trace_csv(trace: ObservableTrace) -> str:
     """Trace CSV; the second qubit's columns carry a '2' suffix."""
-    coupled = len(trace.qubits) == 2
-    header = ["t", "sx_I", "sy_I", "sx_S", "sy_S", "gamma", "V", "I"]
-    if coupled:
-        header += ["sx2_I", "sy2_I", "sx2_S", "sy2_S", "gamma2", "V2", "I2",
-                   "concurrence"]
-    lines = [",".join(header)]
-    for i, t in enumerate(trace.t):
-        row = [t]
-        for q in trace.qubits:
-            row += [q.sx_i[i], q.sy_i[i], q.sx_s[i], q.sy_s[i], q.gamma[i],
-                    q.voltage[i], q.current[i]]
-        if coupled:
-            row.append(trace.concurrence[i] if trace.concurrence is not None else 0.0)
-        lines.append(",".join(_num(v) for v in row))
-    return "\n".join(lines) + "\n"
+    header, cols = ["t"], [trace.t]
+    for n, q in enumerate(trace.qubits):
+        s = "2" if n else ""
+        header += [f"sx{s}_I", f"sy{s}_I", f"sx{s}_S", f"sy{s}_S", f"gamma{s}", f"V{s}", f"I{s}"]
+        cols += [q.sx_i, q.sy_i, q.sx_s, q.sy_s, q.gamma, q.voltage, q.current]
+    if len(trace.qubits) == 2:
+        header.append("concurrence")
+        cols.append(np.zeros(len(trace.t)) if trace.concurrence is None else trace.concurrence)
+    return _table(header, np.column_stack(cols))
 
 
 def metrics_csv(metrics: list[LoopMetrics]) -> str:
-    lines = ["period,S,P,F,pinch_distance"]
-    for k, m in enumerate(metrics):
-        lines.append(",".join([str(k), _num(m.area), _num(m.perimeter),
-                               _num(m.form_factor), _num(m.pinch_distance)]))
-    return "\n".join(lines) + "\n"
+    return _table(["period", "S", "P", "F", "pinch_distance"],
+                  [(k, m.area, m.perimeter, m.form_factor, m.pinch_distance)
+                   for k, m in enumerate(metrics)])
 
 
 def scan_csv(rows: list[ScanRow]) -> str:
-    lines = ["delta,mean_F_q1,mean_F_q2,pinch_pass_q1,pinch_pass_q2,esd_count,esb_count"]
-    for r in rows:
-        lines.append(",".join([_num(r.delta), _num(r.mean_f[0]), _num(r.mean_f[1]),
-                               str(int(r.pinch_pass[0])), str(int(r.pinch_pass[1])),
-                               str(r.deaths), str(r.births)]))
-    return "\n".join(lines) + "\n"
+    return _table(["delta", "mean_F_q1", "mean_F_q2", "pinch_pass_q1", "pinch_pass_q2",
+                   "esd_count", "esb_count"],
+                  [(r.delta, *r.mean_f, *r.pinch_pass, r.deaths, r.births) for r in rows])
 
 
 def summary_text(result: RunResult) -> str:
@@ -176,57 +173,41 @@ def summary_text(result: RunResult) -> str:
     return "\n".join(lines)
 
 
-def _normalized_vi(result: RunResult, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    q = result.trace.qubits[qubit]
-    v = np.asarray(q.voltage)
-    i = np.asarray(q.current)
-    if result.config.plot_normalization == "initial":
-        v_scale = abs(v[0]) or 1.0
-        i_scale = abs(i[0]) or 1.0
-    else:
-        v_scale = np.abs(v).max() or 1.0
-        i_scale = np.abs(i).max() or 1.0
-    return v / v_scale, i / i_scale
+def _normalized(x, how: str) -> np.ndarray:
+    x = np.asarray(x)
+    scale = abs(x[0]) if how == "initial" else np.abs(x).max()
+    return x / (scale or 1.0)
 
 
-def _write_plots(result: RunResult, out: Path) -> list[Path]:
-    files = []
-    t = result.trace.t
+def _plots(result: RunResult) -> dict[str, str]:
+    """SVG text per file name: time series and I-V per qubit, concurrence if coupled."""
+    plots = {}
+    name, t = result.config.name, result.trace.t
     coupled = len(result.trace.qubits) == 2
-    for q in range(len(result.trace.qubits)):
+    for q, qs in enumerate(result.trace.qubits):
         suffix = f"_q{q + 1}" if coupled else ""
-        v, i = _normalized_vi(result, q)
-        ts_path = out / f"timeseries{suffix}.svg"
-        _write_text(ts_path, svgplot.line_plot(
+        v = _normalized(qs.voltage, result.config.plot_normalization)
+        i = _normalized(qs.current, result.config.plot_normalization)
+        plots[f"timeseries{suffix}.svg"] = svgplot.line_plot(
             [svgplot.Series(t, v, "V (normalized)"),
              svgplot.Series(t, i, "I (normalized)")],
-            title=f"{result.config.name}: memristive variables, qubit {q + 1}",
-            xlabel="t", ylabel="normalized value"))
-        files.append(ts_path)
-        iv_path = out / f"iv{suffix}.svg"
-        _write_text(iv_path, svgplot.line_plot(
+            title=f"{name}: memristive variables, qubit {q + 1}",
+            xlabel="t", ylabel="normalized value")
+        plots[f"iv{suffix}.svg"] = svgplot.line_plot(
             [svgplot.Series(v, i, "I-V")],
-            title=f"{result.config.name}: I-V curve, qubit {q + 1}",
+            title=f"{name}: I-V curve, qubit {q + 1}",
             xlabel="V (normalized)", ylabel="I (normalized)",
             markers=[svgplot.Marker(float(v[0]), float(i[0]), "#2ca02c", "start"),
-                     svgplot.Marker(0.0, 0.0, "#000000", "origin")]))
-        files.append(iv_path)
+                     svgplot.Marker(0.0, 0.0, "#000000", "origin")])
     if coupled and result.trace.concurrence is not None:
-        grid_steps = result.config.steps_per_period
-        period_t = [t[k * grid_steps + grid_steps // 2]
-                    for k in range(len(result.metrics[0]))]
+        steps = result.config.steps_per_period
+        period_t = t[steps // 2::steps][:len(result.metrics[0])]
         series = [svgplot.Series(t, result.trace.concurrence, "concurrence")]
-        for q in range(2):
-            series.append(svgplot.Series(
-                np.asarray(period_t),
-                np.array([m.form_factor for m in result.metrics[q]]),
-                f"form factor q{q + 1}"))
-        c_path = out / "concurrence.svg"
-        _write_text(c_path, svgplot.line_plot(
-            series, title=f"{result.config.name}: concurrence and form factor",
-            xlabel="t", ylabel="value"))
-        files.append(c_path)
-    return files
+        series += [svgplot.Series(period_t, np.array([m.form_factor for m in result.metrics[q]]),
+                                  f"form factor q{q + 1}") for q in range(2)]
+        plots["concurrence.svg"] = svgplot.line_plot(
+            series, title=f"{name}: concurrence and form factor", xlabel="t", ylabel="value")
+    return plots
 
 
 def _write_text(path: Path, text: str) -> None:

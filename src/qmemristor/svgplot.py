@@ -1,4 +1,9 @@
-"""Hand-rolled SVG line plots: no plotting dependency, one polyline per series."""
+"""Hand-rolled SVG line plots: no plotting dependency, one polyline per series.
+
+One affine ``px``/``py`` pair maps data to pixels for whole arrays and for
+single values alike: each series is mapped once, then its polyline is
+formatted with ``%.2f``.
+"""
 
 from __future__ import annotations
 
@@ -70,8 +75,8 @@ def line_plot(series: list[Series], title: str, xlabel: str, ylabel: str,
                      f'text-anchor="end">{label}</text>')
     for idx, s in enumerate(series):
         color = s.color or _COLORS[idx % len(_COLORS)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}"
-                       for x, y in zip(np.asarray(s.x, float), np.asarray(s.y, float)))
+        pts = " ".join("%.2f,%.2f" % p for p in zip(px(np.asarray(s.x, float)).tolist(),
+                                                     py(np.asarray(s.y, float)).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         parts.append(f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16 + 14 * idx}" '
