@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Hash every output file of every preset, and of one scan, to prove a change byte-identical.
+"""Hash every output file of every preset, and of scans, to prove a change byte-identical.
 
 Usage: PYTHONPATH=src python scripts/golden.py > golden.txt
 
-Each preset runs once per shot mode, and fig9 runs one five-delta
-``delta_scan``, into a temporary directory that is removed afterwards. One
-line per CSV or SVG, in a fixed order:
+Each preset runs once per shot mode; fig9 runs a five-delta ``delta_scan``
+in each shot mode, and every coupled preset a three-delta exact scan, so
+the batched scan path is hashed for every gate kind. Everything runs in a
+temporary directory that is removed afterwards. One line per CSV or SVG, in
+a fixed order:
 
     <sha256>  <preset>/<mode>/<file>
-    <sha256>  fig9_scan/<delta dir>/<file>
-    <sha256>  fig9_scan/scan_summary.csv
+    <sha256>  fig9_scan/<mode>/<delta dir>/<file>
+    <sha256>  fig9_scan/<mode>/scan_summary.csv
+    <sha256>  <coupled preset>_scan3/<delta dir>/<file>
+    <sha256>  <coupled preset>_scan3/scan_summary.csv
 
 Run it before and after a change and diff the two outputs.
 """
@@ -24,6 +28,7 @@ from qmemristor.config import apply_overrides
 from qmemristor.presets import PRESET_NAMES, preset
 
 SCAN_DELTAS = (0.1, 0.2, 0.3, 0.4, 0.5)
+SHORT_SCAN_DELTAS = (0.1, 0.55, 1.0)
 
 
 def _hash_tree(root: Path, label: str) -> None:
@@ -40,9 +45,16 @@ def main() -> int:
                 out = Path(tmp) / name / mode
                 runner.run(apply_overrides(preset(name), shots_mode=mode), out)
                 _hash_tree(out, f"{name}/{mode}")
-        out = Path(tmp) / "fig9_scan"
-        runner.delta_scan(preset("fig9"), SCAN_DELTAS, out)
-        _hash_tree(out, "fig9_scan")
+        for mode in ("exact", "sampled"):
+            out = Path(tmp) / "fig9_scan" / mode
+            runner.delta_scan(apply_overrides(preset("fig9"), shots_mode=mode), SCAN_DELTAS, out)
+            _hash_tree(out, f"fig9_scan/{mode}")
+        for name in PRESET_NAMES:
+            if preset(name).mode == "coupled":
+                out = Path(tmp) / f"{name}_scan3"
+                runner.delta_scan(apply_overrides(preset(name), shots_mode="exact"),
+                                  SHORT_SCAN_DELTAS, out)
+                _hash_tree(out, f"{name}_scan3")
     return 0
 
 

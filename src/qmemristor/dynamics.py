@@ -203,63 +203,90 @@ def run_single(init: InitialState, p: DecayProfile,
                grid: TimeGrid) -> list[TrajectoryState]:
     """Digital trajectory of one memristor: one damping Kraus map per step."""
     kappas = kappa_schedule(grid, p)
-    return _evolve(init.density_matrix(), kappas[:, None], grid.times(p.omega),
-                   None, "single trajectory")
+    rhos = _evolve(init.density_matrix()[None], kappas[:, None], None, "single trajectory")
+    return trajectory_states(grid.times(p.omega), rhos[0])
 
 
 def run_coupled(init1: InitialState, init2: InitialState,
                 p1: DecayProfile, p2: DecayProfile, grid: TimeGrid,
                 spec: ops.InteractionSpec) -> list[TrajectoryState]:
-    """Digital trajectory of two coupled memristors.
+    """Digital trajectory of two coupled memristors: `run_coupled_batch` with
+    the one coupling ``spec``."""
+    rhos = run_coupled_batch(init1, init2, p1, p2, grid, [spec])
+    return trajectory_states(grid.times(p1.omega), rhos[0])
+
+
+def run_coupled_batch(init1: InitialState, init2: InitialState,
+                      p1: DecayProfile, p2: DecayProfile, grid: TimeGrid,
+                      specs) -> np.ndarray:
+    """Digital trajectories of two coupled memristors, one per coupling spec.
 
     Each step damps both qubits independently (Kraus pairs extended by the
-    identity on the partner, four cross terms) and then applies the coupling
-    gate, built once for the whole run. Requires both profiles to share omega
-    so one grid drives both; equal profiles share one kappa schedule.
+    identity on the partner, four cross terms) and then applies each
+    trajectory's own coupling gate, built once per spec. Everything but the
+    gate is shared: one kappa schedule per distinct profile and one Kraus
+    stack step all trajectories together. Returns the states as one read-only
+    (len(specs), n_steps+1, 4, 4) array; slice b equals `run_coupled` with
+    ``specs[b]`` bit for bit. Requires both profiles to share omega so one
+    grid drives both.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
     k1 = kappa_schedule(grid, p1)
     k2 = k1 if p2 == p1 else kappa_schedule(grid, p2)
     rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
-    # the 'paper' convention conjugates as A^dag rho A, i.e. by B = A^dag
-    a = ops.interaction_unitary(spec)
-    gate = dagger(a) if spec.dagger_convention == "paper" else a
-    return _evolve(rho0, np.stack([k1, k2], axis=1), grid.times(p1.omega), gate,
+    gates = np.array([_gate(spec) for spec in specs], dtype=complex).reshape(-1, 4, 4)
+    return _evolve(np.broadcast_to(rho0, gates.shape), np.stack([k1, k2], axis=1), gates,
                    "coupled trajectory")
 
 
-def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, times: np.ndarray,
-            gate: np.ndarray | None, context: str) -> list[TrajectoryState]:
-    """Step a one- or two-qubit state through the grid.
+def _gate(spec: ops.InteractionSpec) -> np.ndarray:
+    """The matrix B a step conjugates by, as B rho B^dag."""
+    # the 'paper' convention conjugates as A^dag rho A, i.e. by B = A^dag
+    a = ops.interaction_unitary(spec)
+    return dagger(a) if spec.dagger_convention == "paper" else a
 
-    Row i of ``kappa_rows`` holds each qubit's kappa for step i. The Kraus
-    operators of every step come from one ``ops.damping_kraus`` call per
-    qubit; for two qubits they are the four Kronecker products of the pairs.
-    A step sums op rho op^dag over them from the first term on, then
-    conjugates the result as gate rho gate^dag if there is a ``gate``. The
-    states fill one (n_steps+1, d, d) array, validated once after the loop;
-    each returned state's ``rho`` is a read-only view into it.
+
+def trajectory_states(times: np.ndarray, rhos: np.ndarray) -> list[TrajectoryState]:
+    """One trajectory's (n_steps+1, d, d) states as TrajectoryState views."""
+    return [TrajectoryState(t, r) for t, r in zip(times.tolist(), rhos)]
+
+
+def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, gates: np.ndarray | None,
+            context: str) -> np.ndarray:
+    """Step a stack of n_b one- or two-qubit states through the grid together.
+
+    ``rho0`` has shape (n_b, d, d). Row i of ``kappa_rows`` holds each
+    qubit's kappa for step i; the Kraus operators of every step come from one
+    ``ops.damping_kraus`` call per qubit (for two qubits, the four Kronecker
+    products of the pairs) and are shared by the whole stack. A step sums
+    op rho op^dag over them from the first term on, then conjugates state b
+    as gates[b] rho gates[b]^dag if ``gates`` (n_b, d, d) is given. Returns
+    the states as one read-only (n_b, n_steps+1, d, d) array. Each
+    trajectory is validated on its own after the loop, so an error names
+    ``context`` and the step as a lone trajectory's would.
     """
-    kraus = _step_kraus(kappa_rows)
+    # the (n_terms, 1, d, d) operators of a step broadcast over the stack
+    kraus = _step_kraus(kappa_rows)[:, :, None]
     kraus_h = dagger(kraus)
-    gate_h = None if gate is None else dagger(gate)
-    dim = rho0.shape[0]
-    rhos = np.empty((len(times), dim, dim), dtype=complex)
-    rhos[0] = rho = rho0
+    gates_h = None if gates is None else dagger(gates)
+    n_b, dim = rho0.shape[:2]
+    rhos = np.empty((n_b, len(kraus) + 1, dim, dim), dtype=complex)
+    rhos[:, 0] = rho = rho0
     for i in range(len(kraus)):
         terms = kraus[i] @ rho @ kraus_h[i]
-        # added one by one: a reduction over the stack does not keep -0.0
+        # added one by one: a reduction over the terms does not keep -0.0
         rho = terms[0]
         for term in terms[1:]:
             rho = rho + term
-        if gate is not None:
-            rho = gate @ rho @ gate_h
-        rhos[i + 1] = rho
+        if gates is not None:
+            rho = gates @ rho @ gates_h
+        rhos[:, i + 1] = rho
     del kraus, kraus_h  # freed before the validation allocates its own stacks
-    require_density_matrix(rhos[1:], dim, context=context)
-    rhos.flags.writeable = False  # every state shares this buffer
-    return [TrajectoryState(t, r) for t, r in zip(times.tolist(), rhos)]
+    for trajectory in rhos:
+        require_density_matrix(trajectory[1:], dim, context=context)
+    rhos.flags.writeable = False  # every returned state is a view of this buffer
+    return rhos
 
 
 def _step_kraus(kappa_rows: np.ndarray) -> np.ndarray:

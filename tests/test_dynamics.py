@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,9 @@ from qmemristor import dynamics, ops
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  TrajectoryState, analytic_oracle, decay_rate,
                                  kappa, kappa_schedule, lindblad_oracle,
-                                 run_coupled, run_single, theta_schedule)
-from qmemristor.errors import IntegrationError
+                                 run_coupled, run_coupled_batch, run_single,
+                                 theta_schedule)
+from qmemristor.errors import IntegrationError, StateError
 from qmemristor.linalg import dagger, partial_trace, require_density_matrix
 from qmemristor.ops import (SWAP, InteractionSpec, apply_channel,
                             collision_step, damping_kraus, free_evolution)
@@ -369,6 +371,54 @@ class TestRunCoupled:
         run_coupled(init, init, p, DecayProfile(0.2, 1.0), grid, InteractionSpec("none"))
         assert calls == [p, p, DecayProfile(0.2, 1.0)]
 
+    def test_batch_shares_one_kappa_schedule(self, monkeypatch):
+        calls = []
+
+        def counted(grid, p):
+            calls.append(p)
+            return kappa_schedule(grid, p)
+
+        monkeypatch.setattr(dynamics, "kappa_schedule", counted)
+        init = InitialState(0.3, 0.0)
+        p = DecayProfile(0.1, 1.0)
+        specs = [InteractionSpec("native", "y", d) for d in (0.1, 0.2, 0.3)]
+        rhos = run_coupled_batch(init, init, p, p, TimeGrid(1, 8), specs)
+        assert rhos.shape == (3, 9, 4, 4)
+        assert calls == [p]
+
+    def test_empty_batch(self):
+        init = InitialState(0.3, 0.0)
+        p = DecayProfile(0.1, 1.0)
+        assert run_coupled_batch(init, init, p, p, TimeGrid(1, 8), []).shape == (0, 9, 4, 4)
+
+    def test_batch_is_read_only(self):
+        init = InitialState(0.3, 0.0)
+        p = DecayProfile(0.1, 1.0)
+        rhos = run_coupled_batch(init, init, p, p, TimeGrid(1, 8), [InteractionSpec("none")])
+        with pytest.raises(ValueError):
+            rhos[0, 1, 0, 0] = 0.0
+
+    def test_batch_validates_each_trajectory_as_a_lone_run(self, monkeypatch):
+        # a gate of 2I quadruples the trace: the third spec fails at step 1
+        # with the text its own run gives, although the first two are fine
+        unitary = ops.interaction_unitary
+
+        def faulty(spec):
+            return 2.0 * np.eye(4) if spec.delta == 0.7 else unitary(spec)
+
+        monkeypatch.setattr(ops, "interaction_unitary", faulty)
+        init = InitialState(0.3, 0.0)
+        p = DecayProfile(0.1, 1.0)
+        grid = TimeGrid(1, 8)
+        bad = InteractionSpec("native", "y", 0.7)
+        with pytest.raises(StateError) as lone:
+            run_coupled(init, init, p, p, grid, bad)
+        assert "(coupled trajectory, step 1)" in str(lone.value)
+        specs = [InteractionSpec("native", "y", 0.1), InteractionSpec("native", "y", 0.2), bad]
+        with pytest.raises(StateError) as batch:
+            run_coupled_batch(init, init, p, p, grid, specs)
+        assert str(batch.value) == str(lone.value)
+
     def test_rejects_mismatched_omega(self):
         init = InitialState(0.3, 0.0)
         with pytest.raises(ValueError):
@@ -492,3 +542,21 @@ class TestStepperMatchesReferenceLoops:
         p2 = data.draw(profiles(omega))
         assert_identical(run_coupled(init1, init2, p1, p2, grid, spec),
                          reference_coupled(init1, init2, p1, p2, grid, spec))
+
+    @given(data=st.data(), init1=initial_states, init2=initial_states,
+           grid=grids, omega=st.floats(0.5, 2.0), spec=couplings,
+           deltas=st.lists(st.one_of(st.floats(-math.pi, math.pi),
+                                     st.sampled_from((0.0, 0.25, -1.5))),
+                           min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_coupled_batch(self, data, init1, init2, grid, omega, spec, deltas):
+        p1 = data.draw(profiles(omega))
+        p2 = data.draw(profiles(omega))
+        specs = [dataclasses.replace(spec, delta=d) for d in deltas]
+        rhos = run_coupled_batch(init1, init2, p1, p2, grid, specs)
+        assert rhos.shape == (len(specs), grid.n_steps + 1, 4, 4)
+        for s, trajectory in zip(specs, rhos):
+            alone = run_coupled(init1, init2, p1, p2, grid, s)
+            reference = reference_coupled(init1, init2, p1, p2, grid, s)
+            assert np.array_equal(trajectory, np.stack([state.rho for state in alone]))
+            assert np.array_equal(trajectory, np.stack([state.rho for state in reference]))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from qmemristor import runner, svgplot
+from qmemristor import dynamics, runner, svgplot
 from qmemristor.analysis import LoopMetrics
 from qmemristor.cli import main
 from qmemristor.config import apply_overrides
@@ -115,3 +115,66 @@ class TestScanDirectoryCollisions:
         cfg = apply_overrides(preset("fig7"), periods=2, steps_per_period=12)
         rows = runner.delta_scan(cfg, (0.2, 0.2))
         assert rows[0] == rows[1]
+        assert rows == per_delta_scan(cfg, (0.2, 0.2), None)
+
+
+def per_delta_scan(base, deltas, out, pinch_tol=runner.DEFAULT_PINCH_TOL):
+    """A scan as one `run` (or `execute`) per delta, then the summary."""
+    rows = []
+    for d in deltas:
+        cfg = apply_overrides(base, delta=d)
+        result = (runner.run(cfg, out / f"delta_{d:.4f}") if out is not None
+                  else runner.execute(cfg))
+        kinds = [e.kind for e in result.events]
+        rows.append(ScanRow(d, tuple(result.mean_form_factor(q) for q in range(2)),
+                            tuple(result.max_pinch(q) <= pinch_tol for q in range(2)),
+                            kinds.count("death"), kinds.count("birth")))
+    if out is not None:
+        (out / "scan_summary.csv").write_text(runner.scan_csv(rows), encoding="utf-8")
+    return rows
+
+
+def tree_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestBatchedScanEqualsPerDeltaRuns:
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("name", ["fig7", "fig9"])
+    def test_rows_and_files(self, tmp_path, name, mode):
+        base = apply_overrides(preset(name), shots_mode=mode, seed=11)
+        deltas = (0.15, 0.6, 1.0)
+        rows = runner.delta_scan(base, deltas, tmp_path / "batched")
+        assert rows == per_delta_scan(base, deltas, tmp_path / "alone")
+        batched = tree_bytes(tmp_path / "batched")
+        assert len(batched) == 1 + 3 * 8  # 3 CSVs and 5 SVGs per delta
+        assert batched == tree_bytes(tmp_path / "alone")
+
+    def test_rows_without_files(self):
+        base = apply_overrides(preset("fig9"), periods=2)
+        deltas = (0.9, 0.1, 0.5, 0.1)
+        assert runner.delta_scan(base, deltas) == per_delta_scan(base, deltas, None)
+
+    def test_empty_scan_writes_the_header_line(self, tmp_path):
+        assert runner.delta_scan(preset("fig9"), (), tmp_path) == []
+        assert tree_bytes(tmp_path) == {"scan_summary.csv": runner.scan_csv([]).encode()}
+
+
+class TestInvalidScanDelta:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejected_before_any_stepping_or_write(self, tmp_path, monkeypatch, bad):
+        steps = []
+        monkeypatch.setattr(dynamics, "run_coupled_batch",
+                            lambda *args: steps.append(args))
+        out = tmp_path / "scan"
+        with pytest.raises(ConfigError, match="delta must be finite"):
+            runner.delta_scan(preset("fig9"), (0.2, bad), out)
+        assert steps == []
+        assert not out.exists()
+
+    def test_cli_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        rc = main(["scan", "--preset", "fig9", "--delta", "0.2,nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "delta must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
