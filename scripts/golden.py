@@ -6,14 +6,16 @@ Usage: PYTHONPATH=src python scripts/golden.py > golden.txt
 Each preset runs once per shot mode; fig9 runs a five-delta ``delta_scan``
 in each shot mode, and every coupled preset a three-delta exact scan, so
 the batched scan path is hashed for every gate kind. Everything runs in a
-temporary directory that is removed afterwards. One line per CSV or SVG, in
-a fixed order:
+temporary directory that is removed afterwards. The OpenQASM export of every
+preset is hashed too, for both measurement axes. One line per CSV, SVG or
+export, in a fixed order:
 
     <sha256>  <preset>/<mode>/<file>
     <sha256>  fig9_scan/<mode>/<delta dir>/<file>
     <sha256>  fig9_scan/<mode>/scan_summary.csv
     <sha256>  <coupled preset>_scan3/<delta dir>/<file>
     <sha256>  <coupled preset>_scan3/scan_summary.csv
+    <sha256>  <preset>/qasm_<axis>.qasm
 
 Run it before and after a change and diff the two outputs.
 """
@@ -26,9 +28,12 @@ from pathlib import Path
 from qmemristor import runner
 from qmemristor.config import apply_overrides
 from qmemristor.presets import PRESET_NAMES, preset
+from qmemristor.qasm import export_circuit
 
 SCAN_DELTAS = (0.1, 0.2, 0.3, 0.4, 0.5)
 SHORT_SCAN_DELTAS = (0.1, 0.55, 1.0)
+# the coupled presets need 20 periods x 60 steps x 2 memristors
+QASM_MAX_ANCILLAS = 2400
 
 
 def _hash_tree(root: Path, label: str) -> None:
@@ -55,6 +60,11 @@ def main() -> int:
                 runner.delta_scan(apply_overrides(preset(name), shots_mode="exact"),
                                   SHORT_SCAN_DELTAS, out)
                 _hash_tree(out, f"{name}_scan3")
+    for name in PRESET_NAMES:
+        for axis in ("x", "y"):
+            text = export_circuit(preset(name), axis, max_ancillas=QASM_MAX_ANCILLAS)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            print(f"{digest}  {name}/qasm_{axis}.qasm", flush=True)
     return 0
 
 

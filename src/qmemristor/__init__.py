@@ -6,8 +6,8 @@ from .analysis import (EntanglementEvent, HysteresisLoop, LoopMetrics,
 from .config import RunConfig, apply_overrides, config_from_text, load_config
 from .dynamics import (DecayProfile, InitialState, TimeGrid, TrajectoryState,
                        analytic_oracle, decay_rate, kappa, kappa_schedule,
-                       lindblad_oracle, run_coupled, run_coupled_batch,
-                       run_single, theta_schedule)
+                       lindblad_oracle, run_coupled, run_single,
+                       theta_schedule)
 from .errors import (ConfigError, DimensionError, IntegrationError,
                      NumericsError, StateError)
 from .measurement import (ObservableTrace, QubitSeries, ShotConfig,

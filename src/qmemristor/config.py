@@ -39,8 +39,6 @@ class RunConfig:
     interaction: str = "none"
     axis: str = "y"
     delta: float = 0.1
-    control: int = 1
-    dagger_convention: str = "paper"
     shots_mode: str = "exact"
     shots: int = 5000
     seed: int = 0
@@ -70,8 +68,7 @@ class RunConfig:
                     raise ValueError("coupled mode needs a2 and gamma0_2")
                 init2 = InitialState(self.a2, self.b2 if self.b2 is not None else 0.0)
                 prof2 = DecayProfile(self.gamma0_2, self.omega)
-                spec = InteractionSpec(self.interaction, self.axis, self.delta,
-                                       self.control, self.dagger_convention)
+                spec = InteractionSpec(self.interaction, self.axis, self.delta)
             else:
                 init2 = prof2 = None
                 spec = InteractionSpec("none")
@@ -105,16 +102,17 @@ class RunComponents:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_FIELDS = {"periods", "steps_per_period", "control", "shots", "seed"}
-_STR_FIELDS = {"name", "mode", "interaction", "axis", "dagger_convention",
-               "shots_mode", "plot_normalization"}
+_INT_FIELDS = {"periods", "steps_per_period", "shots", "seed"}
+_STR_FIELDS = {"name", "mode", "interaction", "axis", "shots_mode", "plot_normalization"}
 # one Python string literal (what to_text writes), then an optional comment
 _QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
 
 
 def config_from_text(text: str) -> RunConfig:
-    """Parse the key-value config format (inverse of RunConfig.to_text)."""
+    """Parse the key-value config format (inverse of RunConfig.to_text);
+    each key may appear once."""
     values: dict = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,6 +122,9 @@ def config_from_text(text: str) -> RunConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         quoted = _QUOTED.fullmatch(value)
         if not quoted and value.startswith(("'", '"')):
             raise ConfigError(f"line {lineno}: malformed string for {key}: {value!r}")

@@ -209,42 +209,27 @@ def run_single(init: InitialState, p: DecayProfile,
 
 def run_coupled(init1: InitialState, init2: InitialState,
                 p1: DecayProfile, p2: DecayProfile, grid: TimeGrid,
-                spec: ops.InteractionSpec) -> list[TrajectoryState]:
-    """Digital trajectory of two coupled memristors: `run_coupled_batch` with
-    the one coupling ``spec``."""
-    rhos = run_coupled_batch(init1, init2, p1, p2, grid, [spec])
-    return trajectory_states(grid.times(p1.omega), rhos[0])
-
-
-def run_coupled_batch(init1: InitialState, init2: InitialState,
-                      p1: DecayProfile, p2: DecayProfile, grid: TimeGrid,
-                      specs) -> np.ndarray:
+                specs) -> np.ndarray:
     """Digital trajectories of two coupled memristors, one per coupling spec.
 
     Each step damps both qubits independently (Kraus pairs extended by the
-    identity on the partner, four cross terms) and then applies each
-    trajectory's own coupling gate, built once per spec. Everything but the
-    gate is shared: one kappa schedule per distinct profile and one Kraus
-    stack step all trajectories together. Returns the states as one read-only
-    (len(specs), n_steps+1, 4, 4) array; slice b equals `run_coupled` with
-    ``specs[b]`` bit for bit. Requires both profiles to share omega so one
-    grid drives both.
+    identity on the partner, four cross terms) and then conjugates each
+    trajectory by its own coupling gate A as A^dag rho A, with A built once
+    per spec. Everything but the gate is shared: one kappa schedule per
+    distinct profile and one Kraus stack step all trajectories together.
+    Returns the states as one read-only (len(specs), n_steps+1, 4, 4) array;
+    slice b is bit for bit the run with ``specs[b]`` alone. Requires both
+    profiles to share omega so one grid drives both.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
     k1 = kappa_schedule(grid, p1)
     k2 = k1 if p2 == p1 else kappa_schedule(grid, p2)
     rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
-    gates = np.array([_gate(spec) for spec in specs], dtype=complex).reshape(-1, 4, 4)
+    gates = np.array([dagger(ops.interaction_unitary(spec)) for spec in specs],
+                     dtype=complex).reshape(-1, 4, 4)
     return _evolve(np.broadcast_to(rho0, gates.shape), np.stack([k1, k2], axis=1), gates,
                    "coupled trajectory")
-
-
-def _gate(spec: ops.InteractionSpec) -> np.ndarray:
-    """The matrix B a step conjugates by, as B rho B^dag."""
-    # the 'paper' convention conjugates as A^dag rho A, i.e. by B = A^dag
-    a = ops.interaction_unitary(spec)
-    return dagger(a) if spec.dagger_convention == "paper" else a
 
 
 def trajectory_states(times: np.ndarray, rhos: np.ndarray) -> list[TrajectoryState]:

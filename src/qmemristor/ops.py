@@ -27,15 +27,10 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 PROJ_E = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 PROJ_G = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-SWAP = np.array([[1, 0, 0, 0],
-                 [0, 0, 1, 0],
-                 [0, 1, 0, 0],
-                 [0, 0, 0, 1]], dtype=complex)
 
 PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 INTERACTION_KINDS = ("none", "native", "controlled_rotation", "partial_swap")
-DAGGER_CONVENTIONS = ("paper", "standard")
 
 
 def rotation(axis: str, angle: float) -> np.ndarray:
@@ -130,20 +125,19 @@ class InteractionSpec:
     """Choice of the two-qubit coupling applied after each evolution step.
 
     kind 'native' is exp(-i*delta*sigma_axis (x) sigma_axis); a controlled
-    rotation conditions a half-angle rotation of the target on the control
-    qubit being excited; 'partial_swap' is the exchange family
+    rotation conditions a half-angle rotation of qubit 2 on qubit 1 being
+    excited; 'partial_swap' is the exchange family
     exp(-i*delta*(sigma_x(x)sigma_x + sigma_y(x)sigma_y)/2), which reaches a
     full swap (up to local phases) at delta = pi/2. A power of the SWAP
     matrix itself would commute with every permutation-symmetric state and
     therefore could not couple identically prepared memristors at all.
-    dagger_convention 'paper' conjugates states as A^dag rho A, 'standard'
-    as A rho A^dag; the two differ only by delta -> -delta.
+    A step conjugates the state as A^dag rho A, the paper's ordering; the
+    ordering A rho A^dag is the same run at -delta, and qubit 2 as the
+    control is the same run with the two qubits' parameters swapped.
     """
     kind: str = "none"
     axis: str = "y"
     delta: float = 0.0
-    control: int = 1
-    dagger_convention: str = "paper"
 
     def __post_init__(self):
         if self.kind not in INTERACTION_KINDS:
@@ -152,10 +146,6 @@ class InteractionSpec:
             raise ValueError(f"axis must be x, y or z, got {self.axis!r}")
         if not math.isfinite(self.delta):
             raise ValueError("delta must be finite")
-        if self.control not in (1, 2):
-            raise ValueError(f"control must be 1 or 2, got {self.control!r}")
-        if self.dagger_convention not in DAGGER_CONVENTIONS:
-            raise ValueError(f"unknown dagger convention {self.dagger_convention!r}")
 
 
 def interaction_unitary(spec: InteractionSpec) -> np.ndarray:
@@ -173,18 +163,10 @@ def interaction_unitary(spec: InteractionSpec) -> np.ndarray:
         gate[1:3, 1:3] = np.array([[math.cos(d), -1j * math.sin(d)],
                                    [-1j * math.sin(d), math.cos(d)]])
         return gate
-    gate = np.kron(PROJ_E, rotation(spec.axis, d)) + np.kron(PROJ_G, IDENTITY_2)
-    if spec.control == 2:
-        gate = SWAP @ gate @ SWAP
-    return gate
+    return np.kron(PROJ_E, rotation(spec.axis, d)) + np.kron(PROJ_G, IDENTITY_2)
 
 
 def apply_interaction(rho: np.ndarray, spec: InteractionSpec) -> np.ndarray:
-    """Conjugate a two-qubit state by the coupling gate.
-
-    Ordering follows ``spec.dagger_convention``; unitarity makes both CPTP.
-    """
+    """Conjugate a two-qubit state by the coupling gate A as A^dag rho A."""
     a = interaction_unitary(spec)
-    if spec.dagger_convention == "paper":
-        return dagger(a) @ rho @ a
-    return a @ rho @ dagger(a)
+    return dagger(a) @ rho @ a

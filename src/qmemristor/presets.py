@@ -39,15 +39,15 @@ _CATALOG: dict[str, RunConfig] = {
     "fig7": RunConfig(name="fig7", interaction="native", axis="y", **_COUPLED_COMMON),
     "fig8": RunConfig(name="fig8", interaction="native", axis="y", **_COUPLED_COMMON),
     "fig9": RunConfig(name="fig9", interaction="controlled_rotation", axis="y",
-                      control=1, **_COUPLED_COMMON),
+                      **_COUPLED_COMMON),
     "fig10": RunConfig(name="fig10", interaction="controlled_rotation", axis="y",
-                       control=1, **_COUPLED_COMMON),
+                       **_COUPLED_COMMON),
     "appx_xx": RunConfig(name="appx_xx", interaction="native", axis="x", **_COUPLED_COMMON),
     "appx_zz": RunConfig(name="appx_zz", interaction="native", axis="z", **_COUPLED_COMMON),
     "appx_crx": RunConfig(name="appx_crx", interaction="controlled_rotation",
-                          axis="x", control=1, **_COUPLED_COMMON),
+                          axis="x", **_COUPLED_COMMON),
     "appx_crz": RunConfig(name="appx_crz", interaction="controlled_rotation",
-                          axis="z", control=1, **_COUPLED_COMMON),
+                          axis="z", **_COUPLED_COMMON),
     "appx_pswap": RunConfig(name="appx_pswap", interaction="partial_swap",
                             **_COUPLED_COMMON),
 }

@@ -102,8 +102,8 @@ def _zz_core(angle: float) -> list[str]:
 
 
 def _interaction_lines(spec) -> list[str]:
-    # the 'paper' dagger convention applies the adjoint gate: angle -delta
-    d = -spec.delta if spec.dagger_convention == "paper" else spec.delta
+    # a step conjugates as A^dag rho A: the adjoint gate, angle -delta
+    d = -spec.delta
     if spec.kind == "native":
         if spec.axis == "z":
             return _zz_core(d)
@@ -123,6 +123,4 @@ def _interaction_lines(spec) -> list[str]:
     # controlled rotation: |1><1| control under the hardware encoding;
     # conjugating by X(x)X flips the sign of the y and z rotation angles
     hw_angle = d if spec.axis == "x" else -d
-    ctrl = spec.control - 1
-    tgt = 1 - ctrl
-    return [f"ctrl_r{spec.axis}({_fmt(hw_angle)}) sys[{ctrl}],sys[{tgt}];"]
+    return [f"ctrl_r{spec.axis}({_fmt(hw_angle)}) sys[0],sys[1];"]

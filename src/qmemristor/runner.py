@@ -4,8 +4,8 @@ A run writes one trace CSV, one metrics CSV per qubit, and SVG plots into its
 output directory, then reports a text summary. Every CSV goes through one
 table writer, ``_table``, which prints each value, counts and flags included,
 as ``%.12g``. ``delta_scan`` repeats a coupled run across coupling strengths,
-stepping every strength at once, and summarizes pinch survival and
-entanglement events per point.
+stepping every strength in one `dynamics.run_coupled` call, and summarizes
+pinch survival and entanglement events per point.
 """
 
 from __future__ import annotations
@@ -58,15 +58,15 @@ def _coupled_results(configs: list[RunConfig], parts: list[RunComponents]):
     """Yield the result of each coupled config, in order.
 
     The configs may differ only in their coupling, so one
-    `dynamics.run_coupled_batch` call steps them all; concurrence and the
+    `dynamics.run_coupled` call steps them all; concurrence and the
     analysis run per trajectory, on its slice of the stepped states.
     """
     if not parts:
         return
     first = parts[0]
-    rhos = dynamics.run_coupled_batch(first.init1, first.init2, first.profile1,
-                                      first.profile2, first.grid,
-                                      [p.interaction for p in parts])
+    rhos = dynamics.run_coupled(first.init1, first.init2, first.profile1,
+                                first.profile2, first.grid,
+                                [p.interaction for p in parts])
     times = first.grid.times(first.profile1.omega)
     for config, p, trajectory in zip(configs, parts, rhos):
         yield _analyse(config, p, dynamics.trajectory_states(times, trajectory),
@@ -113,9 +113,9 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
                pinch_tol: float = DEFAULT_PINCH_TOL) -> list[ScanRow]:
     """Run a coupled config once per coupling strength and summarize.
 
-    Every delta's config is validated before any stepping or write, so an
-    invalid delta raises ConfigError with nothing on disk. All deltas are
-    then stepped together by one `dynamics.run_coupled_batch` call (one
+    ``pinch_tol`` and every delta's config are validated before any stepping
+    or write, so an invalid one raises ConfigError with nothing on disk. All
+    deltas are then stepped together by one `dynamics.run_coupled` call (one
     kappa schedule, one Kraus stack, one gate per delta), and each delta's
     trajectory is analysed, and written if asked, as `run` would. The scan
     holds every delta's states at once, about 0.3 MB per delta at fig9's
@@ -127,6 +127,8 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     """
     if base.mode != "coupled":
         raise ConfigError("delta_scan needs a coupled configuration")
+    if not 0.0 <= pinch_tol < np.inf:
+        raise ConfigError(f"pinch_tol must be nonnegative and finite, got {pinch_tol!r}")
     deltas = [float(d) for d in deltas]
     dirs = [f"delta_{d:.4f}" for d in deltas]
     out = Path(out_dir) if out_dir is not None else None

@@ -5,6 +5,32 @@ import numpy as np
 import pytest
 
 
+# fig9 as RunConfig.to_text wrote it while the config still had the
+# control and dagger_convention fields
+OLD_FIG9_TEXT = """# qmemristor run configuration
+name = 'fig9'
+mode = 'coupled'
+a1 = 0.7853981633974483
+b1 = 0.0
+gamma0_1 = 0.02
+a2 = 0.7853981633974483
+b2 = 0.0
+gamma0_2 = 0.02
+omega = 1.0
+periods = 20
+steps_per_period = 60
+interaction = 'controlled_rotation'
+axis = 'y'
+delta = 0.1
+control = 1
+dagger_convention = 'paper'
+shots_mode = 'exact'
+shots = 5000
+seed = 0
+plot_normalization = 'max'
+"""
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260808)

@@ -9,7 +9,7 @@ from qmemristor.config import RunConfig
 from qmemristor.errors import NumericsError
 from qmemristor.presets import preset
 
-from conftest import deadline
+from conftest import OLD_FIG9_TEXT, deadline
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -150,6 +150,20 @@ class TestExitCodes:
         bad = tmp_path / "bad.cfg"
         bad.write_text("mode = 'single'\nwhatever = 3\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_repeated_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("mode = 'single'\na1 = 0.3\na1 = 0.7\ngamma0_1 = 0.1\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        assert "key 'a1' repeats line 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_convention_keys(self, tmp_path, capsys):
+        old = tmp_path / "fig9.cfg"
+        old.write_text(OLD_FIG9_TEXT)
+        assert main(["run", "--config", str(old), "--out", str(tmp_path / "out")]) == 2
+        assert "unknown key 'control'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_field_value(self, tmp_path):
         bad = tmp_path / "bad.cfg"

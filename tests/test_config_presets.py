@@ -7,6 +7,8 @@ from qmemristor.config import (RunConfig, apply_overrides, config_from_text,
 from qmemristor.errors import ConfigError
 from qmemristor.presets import PRESET_NAMES, PRESET_NOTES, preset
 
+from conftest import OLD_FIG9_TEXT
+
 
 class TestPresetCatalog:
     def test_catalog_is_complete(self):
@@ -41,7 +43,7 @@ class TestPresetCatalog:
 
     def test_fig9_interaction(self):
         cfg = preset("fig9")
-        assert (cfg.interaction, cfg.axis, cfg.control) == ("controlled_rotation", "y", 1)
+        assert (cfg.interaction, cfg.axis) == ("controlled_rotation", "y")
 
     def test_appendix_kinds(self):
         assert (preset("appx_xx").interaction, preset("appx_xx").axis) == ("native", "x")
@@ -98,6 +100,21 @@ class TestConfigSerialization:
     def test_bad_line(self):
         with pytest.raises(ConfigError):
             config_from_text("mode 'single'\n")
+
+    def test_repeated_key(self):
+        with pytest.raises(ConfigError, match=r"line 4: key 'a1' repeats line 2"):
+            config_from_text("mode = 'single'\na1 = 0.3\ngamma0_1 = 0.3\na1 = 0.7\n")
+
+    def test_removed_convention_keys(self):
+        # a saved config from before the paper's conventions became the only
+        # ones: with both lines removed it loads as the same run
+        with pytest.raises(ConfigError, match=r"line 16: unknown key 'control'"):
+            config_from_text(OLD_FIG9_TEXT)
+        without_control = OLD_FIG9_TEXT.replace("control = 1\n", "")
+        with pytest.raises(ConfigError, match=r"unknown key 'dagger_convention'"):
+            config_from_text(without_control)
+        current = without_control.replace("dagger_convention = 'paper'\n", "")
+        assert config_from_text(current) == preset("fig9")
 
 
 class TestValidation:

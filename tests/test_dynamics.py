@@ -10,17 +10,18 @@ from qmemristor import dynamics, ops
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  TrajectoryState, analytic_oracle, decay_rate,
                                  kappa, kappa_schedule, lindblad_oracle,
-                                 run_coupled, run_coupled_batch, run_single,
-                                 theta_schedule)
+                                 run_coupled, run_single, theta_schedule,
+                                 trajectory_states)
 from qmemristor.errors import IntegrationError, StateError
 from qmemristor.linalg import dagger, partial_trace, require_density_matrix
-from qmemristor.ops import (SWAP, InteractionSpec, apply_channel,
-                            collision_step, damping_kraus, free_evolution)
+from qmemristor.ops import (InteractionSpec, apply_channel, collision_step,
+                            damping_kraus, free_evolution)
 
 from conftest import deadline
 
 FIG4_INIT = InitialState(math.pi / 4, math.pi / 5)
 FIG4_PROFILE = DecayProfile(0.4, 1.0)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def bloch_xy(rho):
@@ -315,30 +316,30 @@ class TestRunCoupled:
         p1 = DecayProfile(0.1, 1.0)
         p2 = DecayProfile(0.25, 1.0)
         grid = TimeGrid(1, 12)
-        joint = run_coupled(init1, init2, p1, p2, grid, InteractionSpec("none"))
+        joint = run_coupled(init1, init2, p1, p2, grid, [InteractionSpec("none")])[0]
         solo1 = run_single(init1, p1, grid)
         solo2 = run_single(init2, p2, grid)
         for j, s1, s2 in zip(joint, solo1, solo2):
-            assert np.abs(j.rho - np.kron(s1.rho, s2.rho)).max() < 1e-12
+            assert np.abs(j - np.kron(s1.rho, s2.rho)).max() < 1e-12
 
     def test_zero_delta_native_matches_none(self):
         init = InitialState(math.pi / 4, 0.0)
         p = DecayProfile(0.02, 1.0)
         grid = TimeGrid(1, 12)
-        with_gate = run_coupled(init, init, p, p, grid, InteractionSpec("native", "y", 0.0))
-        without = run_coupled(init, init, p, p, grid, InteractionSpec("none"))
+        with_gate = run_coupled(init, init, p, p, grid, [InteractionSpec("native", "y", 0.0)])[0]
+        without = run_coupled(init, init, p, p, grid, [InteractionSpec("none")])[0]
         for a, b in zip(with_gate, without):
-            assert np.abs(a.rho - b.rho).max() < 1e-13
+            assert np.abs(a - b).max() < 1e-13
 
     def test_symmetric_coupling_keeps_qubits_identical(self):
         init = InitialState(math.pi / 4, 0.0)
         p = DecayProfile(0.02, 1.0)
-        states = run_coupled(init, init, p, p, TimeGrid(2, 30),
-                             InteractionSpec("native", "y", 0.1))
-        for s in states:
-            assert np.abs(SWAP @ s.rho @ SWAP - s.rho).max() <= 1e-11
-            r1 = partial_trace(s.rho, 1)
-            r2 = partial_trace(s.rho, 2)
+        rhos = run_coupled(init, init, p, p, TimeGrid(2, 30),
+                           [InteractionSpec("native", "y", 0.1)])[0]
+        for rho in rhos:
+            assert np.abs(SWAP @ rho @ SWAP - rho).max() <= 1e-11
+            r1 = partial_trace(rho, 1)
+            r2 = partial_trace(rho, 2)
             assert np.abs(r1 - r2).max() <= 1e-11
 
     def test_product_of_local_channels(self, rng):
@@ -350,10 +351,10 @@ class TestRunCoupled:
         grid = TimeGrid(1, 8)
         k1 = kappa_schedule(grid, p1)[0]
         k2 = kappa_schedule(grid, p2)[0]
-        joint = run_coupled(init1, init2, p1, p2, grid, InteractionSpec("none"))[1]
+        joint = run_coupled(init1, init2, p1, p2, grid, [InteractionSpec("none")])[0, 1]
         lhs1 = apply_channel(init1.density_matrix(), damping_kraus(k1))
         lhs2 = apply_channel(init2.density_matrix(), damping_kraus(k2))
-        assert np.abs(joint.rho - np.kron(lhs1, lhs2)).max() < 1e-13
+        assert np.abs(joint - np.kron(lhs1, lhs2)).max() < 1e-13
 
     def test_equal_profiles_share_one_kappa_schedule(self, monkeypatch):
         calls = []
@@ -366,9 +367,9 @@ class TestRunCoupled:
         init = InitialState(0.3, 0.0)
         grid = TimeGrid(1, 8)
         p = DecayProfile(0.1, 1.0)
-        run_coupled(init, init, p, DecayProfile(0.1, 1.0), grid, InteractionSpec("none"))
+        run_coupled(init, init, p, DecayProfile(0.1, 1.0), grid, [InteractionSpec("none")])
         assert calls == [p]
-        run_coupled(init, init, p, DecayProfile(0.2, 1.0), grid, InteractionSpec("none"))
+        run_coupled(init, init, p, DecayProfile(0.2, 1.0), grid, [InteractionSpec("none")])
         assert calls == [p, p, DecayProfile(0.2, 1.0)]
 
     def test_batch_shares_one_kappa_schedule(self, monkeypatch):
@@ -382,19 +383,19 @@ class TestRunCoupled:
         init = InitialState(0.3, 0.0)
         p = DecayProfile(0.1, 1.0)
         specs = [InteractionSpec("native", "y", d) for d in (0.1, 0.2, 0.3)]
-        rhos = run_coupled_batch(init, init, p, p, TimeGrid(1, 8), specs)
+        rhos = run_coupled(init, init, p, p, TimeGrid(1, 8), specs)
         assert rhos.shape == (3, 9, 4, 4)
         assert calls == [p]
 
     def test_empty_batch(self):
         init = InitialState(0.3, 0.0)
         p = DecayProfile(0.1, 1.0)
-        assert run_coupled_batch(init, init, p, p, TimeGrid(1, 8), []).shape == (0, 9, 4, 4)
+        assert run_coupled(init, init, p, p, TimeGrid(1, 8), []).shape == (0, 9, 4, 4)
 
     def test_batch_is_read_only(self):
         init = InitialState(0.3, 0.0)
         p = DecayProfile(0.1, 1.0)
-        rhos = run_coupled_batch(init, init, p, p, TimeGrid(1, 8), [InteractionSpec("none")])
+        rhos = run_coupled(init, init, p, p, TimeGrid(1, 8), [InteractionSpec("none")])
         with pytest.raises(ValueError):
             rhos[0, 1, 0, 0] = 0.0
 
@@ -412,18 +413,18 @@ class TestRunCoupled:
         grid = TimeGrid(1, 8)
         bad = InteractionSpec("native", "y", 0.7)
         with pytest.raises(StateError) as lone:
-            run_coupled(init, init, p, p, grid, bad)
+            run_coupled(init, init, p, p, grid, [bad])
         assert "(coupled trajectory, step 1)" in str(lone.value)
         specs = [InteractionSpec("native", "y", 0.1), InteractionSpec("native", "y", 0.2), bad]
         with pytest.raises(StateError) as batch:
-            run_coupled_batch(init, init, p, p, grid, specs)
+            run_coupled(init, init, p, p, grid, specs)
         assert str(batch.value) == str(lone.value)
 
     def test_rejects_mismatched_omega(self):
         init = InitialState(0.3, 0.0)
         with pytest.raises(ValueError):
             run_coupled(init, init, DecayProfile(0.1, 1.0), DecayProfile(0.1, 2.0),
-                        TimeGrid(1, 10), InteractionSpec("none"))
+                        TimeGrid(1, 10), [InteractionSpec("none")])
 
 
 class TestTypeValidation:
@@ -521,9 +522,7 @@ def profiles(omega):
 
 
 couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),
-                      st.sampled_from("xyz"), st.floats(-math.pi, math.pi),
-                      st.sampled_from((1, 2)),
-                      st.sampled_from(ops.DAGGER_CONVENTIONS))
+                      st.sampled_from("xyz"), st.floats(-math.pi, math.pi))
 
 
 class TestStepperMatchesReferenceLoops:
@@ -540,7 +539,8 @@ class TestStepperMatchesReferenceLoops:
     def test_coupled(self, data, init1, init2, grid, omega, spec):
         p1 = data.draw(profiles(omega))
         p2 = data.draw(profiles(omega))
-        assert_identical(run_coupled(init1, init2, p1, p2, grid, spec),
+        rhos = run_coupled(init1, init2, p1, p2, grid, [spec])
+        assert_identical(trajectory_states(grid.times(omega), rhos[0]),
                          reference_coupled(init1, init2, p1, p2, grid, spec))
 
     @given(data=st.data(), init1=initial_states, init2=initial_states,
@@ -553,10 +553,10 @@ class TestStepperMatchesReferenceLoops:
         p1 = data.draw(profiles(omega))
         p2 = data.draw(profiles(omega))
         specs = [dataclasses.replace(spec, delta=d) for d in deltas]
-        rhos = run_coupled_batch(init1, init2, p1, p2, grid, specs)
+        rhos = run_coupled(init1, init2, p1, p2, grid, specs)
         assert rhos.shape == (len(specs), grid.n_steps + 1, 4, 4)
         for s, trajectory in zip(specs, rhos):
-            alone = run_coupled(init1, init2, p1, p2, grid, s)
+            alone = run_coupled(init1, init2, p1, p2, grid, [s])[0]
             reference = reference_coupled(init1, init2, p1, p2, grid, s)
-            assert np.array_equal(trajectory, np.stack([state.rho for state in alone]))
+            assert np.array_equal(trajectory, alone)
             assert np.array_equal(trajectory, np.stack([state.rho for state in reference]))

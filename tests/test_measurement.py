@@ -5,7 +5,8 @@ import pytest
 
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
-                                 TrajectoryState, run_coupled, run_single)
+                                 TrajectoryState, run_coupled, run_single,
+                                 trajectory_states)
 from qmemristor.errors import StateError
 from qmemristor.linalg import partial_trace
 from qmemristor.measurement import (ShotConfig, build_trace, current_series,
@@ -22,6 +23,12 @@ EXACT = ShotConfig(mode="exact")
 
 def sampled(seed, shots=5000):
     return ShotConfig(mode="sampled", shots=shots, seed=seed)
+
+
+def coupled_states(init1, init2, p, grid, spec):
+    """One coupled trajectory as TrajectoryState views, as `execute` builds it."""
+    rhos = run_coupled(init1, init2, p, p, grid, [spec])
+    return trajectory_states(grid.times(p.omega), rhos[0])
 
 
 class TestExactExpectation:
@@ -194,7 +201,7 @@ class TestBuildTrace:
         init = InitialState(math.pi / 4, 0.0)
         p = DecayProfile(0.02, 1.0)
         grid = TimeGrid(1, 10)
-        states = run_coupled(init, init, p, p, grid, InteractionSpec("native", "y", 0.1))
+        states = coupled_states(init, init, p, grid, InteractionSpec("native", "y", 0.1))
         conc = np.zeros(grid.n_steps + 1)
         trace = build_trace(states, [p, p], EXACT, concurrence=conc)
         assert len(trace.qubits) == 2
@@ -232,8 +239,8 @@ class TestBuildTrace:
         p = DecayProfile(0.3, 1.0)
         grid = TimeGrid(2, 30)
         if coupled:
-            states = run_coupled(init, InitialState(0.4, 2.5), p, p, grid,
-                                 InteractionSpec("controlled_rotation", "x", 0.7))
+            states = coupled_states(init, InitialState(0.4, 2.5), p, grid,
+                                    InteractionSpec("controlled_rotation", "x", 0.7))
             reduced = [[partial_trace(s.rho, q + 1) for s in states] for q in (0, 1)]
         else:
             states = run_single(init, p, grid)
@@ -247,8 +254,8 @@ class TestBuildTrace:
     def test_sampled_columns_use_one_stream_per_point(self):
         init = InitialState(math.pi / 4, 0.5)
         p = DecayProfile(0.3, 1.0)
-        states = run_coupled(init, init, p, p, TimeGrid(1, 10),
-                             InteractionSpec("native", "y", 0.2))
+        states = coupled_states(init, init, p, TimeGrid(1, 10),
+                                InteractionSpec("native", "y", 0.2))
         cfg = sampled(11, shots=100)
         trace = build_trace(states, [p, p], cfg)
         for q, series in enumerate(trace.qubits):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmemristor.linalg import dagger
-from qmemristor.ops import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y, SWAP,
+from qmemristor.ops import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y,
                             InteractionSpec, apply_channel, apply_interaction,
                             collision_step, damping_kraus,
                             frame_to_schroedinger, interaction_unitary,
@@ -20,7 +20,7 @@ ALL_SPECS = [
     InteractionSpec("native", "y", 0.3),
     InteractionSpec("native", "z", 0.3),
     InteractionSpec("controlled_rotation", "x", 0.3),
-    InteractionSpec("controlled_rotation", "y", 0.3, control=2),
+    InteractionSpec("controlled_rotation", "y", 0.3),
     InteractionSpec("controlled_rotation", "z", 0.3),
     InteractionSpec("partial_swap", delta=0.3),
 ]
@@ -200,12 +200,6 @@ class TestInteractionUnitary:
         expected[2:, 2:] = IDENTITY_2
         assert np.allclose(u, expected)
 
-    def test_control_on_second_qubit(self):
-        d = 0.8
-        u1 = interaction_unitary(InteractionSpec("controlled_rotation", "y", d, control=1))
-        u2 = interaction_unitary(InteractionSpec("controlled_rotation", "y", d, control=2))
-        assert np.allclose(u2, SWAP @ u1 @ SWAP)
-
     def test_unitarity_random_angles(self, rng):
         kinds = [("native", "x"), ("native", "y"), ("native", "z"),
                  ("controlled_rotation", "x"), ("partial_swap", "y")]
@@ -231,18 +225,16 @@ class TestApplyInteraction:
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_adjoint_is_negated_angle(self, spec):
         u = interaction_unitary(spec)
-        flipped = InteractionSpec(spec.kind, spec.axis, -spec.delta,
-                                  spec.control, spec.dagger_convention)
+        flipped = InteractionSpec(spec.kind, spec.axis, -spec.delta)
         assert np.abs(dagger(u) - interaction_unitary(flipped)).max() < 1e-12
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_paper_vs_standard_convention(self, spec, rng):
+        # the paper's A^dag rho A is the standard ordering A rho A^dag at -delta
         rho = random_density_matrix(rng, 4)
-        paper = apply_interaction(rho, InteractionSpec(
-            spec.kind, spec.axis, spec.delta, spec.control, "paper"))
-        standard = apply_interaction(rho, InteractionSpec(
-            spec.kind, spec.axis, -spec.delta, spec.control, "standard"))
-        assert np.abs(paper - standard).max() < 1e-12
+        a = interaction_unitary(InteractionSpec(spec.kind, spec.axis, -spec.delta))
+        standard = a @ rho @ dagger(a)
+        assert np.abs(apply_interaction(rho, spec) - standard).max() < 1e-12
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     def test_preserves_state_invariants(self, spec, rng):
@@ -261,14 +253,6 @@ class TestInteractionSpecValidation:
         with pytest.raises(ValueError):
             InteractionSpec("native", "w", 0.1)
 
-    def test_bad_control(self):
-        with pytest.raises(ValueError):
-            InteractionSpec("controlled_rotation", "y", 0.1, control=0)
-
     def test_nonfinite_delta(self):
         with pytest.raises(ValueError):
             InteractionSpec("native", "y", math.nan)
-
-    def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            InteractionSpec("native", "y", 0.1, dagger_convention="qiskit")

@@ -21,13 +21,12 @@ SINGLE_SMALL = RunConfig(name="tiny", mode="single", a1=math.pi / 4, b1=math.pi 
                          gamma0_1=0.4, periods=1, steps_per_period=8)
 
 
-def coupled_small(kind, axis="y", control=1, convention="paper"):
+def coupled_small(kind, axis="y"):
     return RunConfig(name="tiny2", mode="coupled",
                      a1=0.6, b1=0.8, gamma0_1=0.3,
                      a2=1.1, b2=2.5, gamma0_2=0.15,
                      periods=1, steps_per_period=8,
-                     interaction=kind, axis=axis, delta=0.37, control=control,
-                     dagger_convention=convention)
+                     interaction=kind, axis=axis, delta=0.37)
 
 
 # --- a tiny OpenQASM interpreter (only the constructs this exporter emits) ---
@@ -126,7 +125,7 @@ def simulated_bloch(config, axis):
         final = run_single(parts.init1, parts.profile1, parts.grid)[-1].rho
         return [exact_expectation(final, axis)]
     final = run_coupled(parts.init1, parts.init2, parts.profile1, parts.profile2,
-                        parts.grid, parts.interaction)[-1].rho
+                        parts.grid, [parts.interaction])[0, -1]
     return [exact_expectation(partial_trace(final, q + 1), axis) for q in (0, 1)]
 
 
@@ -181,28 +180,20 @@ class TestSemantics:
         expected = simulated_bloch(SINGLE_SMALL, axis)
         assert vm.z_expectation(vm.measured["c[0]"]) == pytest.approx(expected[0], abs=1e-9)
 
-    @pytest.mark.parametrize("kind,axis,control", [
-        ("native", "x", 1),
-        ("native", "y", 1),
-        ("native", "z", 1),
-        ("controlled_rotation", "x", 1),
-        ("controlled_rotation", "y", 2),
-        ("controlled_rotation", "z", 1),
-        ("partial_swap", "y", 1),
+    @pytest.mark.parametrize("kind,axis", [
+        ("native", "x"),
+        ("native", "y"),
+        ("native", "z"),
+        ("controlled_rotation", "x"),
+        ("controlled_rotation", "y"),
+        ("controlled_rotation", "z"),
+        ("partial_swap", "y"),
     ])
-    def test_coupled_interactions(self, kind, axis, control):
-        cfg = coupled_small(kind, axis, control)
+    def test_coupled_interactions(self, kind, axis):
+        cfg = coupled_small(kind, axis)
         for meas_axis in ("x", "y"):
             vm = MiniQasm(export_circuit(cfg, axis=meas_axis))
             expected = simulated_bloch(cfg, meas_axis)
             for q in (0, 1):
                 got = vm.z_expectation(vm.measured[f"c[{q}]"])
                 assert got == pytest.approx(expected[q], abs=1e-9), (kind, axis, q)
-
-    def test_standard_convention(self):
-        cfg = coupled_small("native", "y", convention="standard")
-        vm = MiniQasm(export_circuit(cfg, axis="y"))
-        expected = simulated_bloch(cfg, "y")
-        for q in (0, 1):
-            assert vm.z_expectation(vm.measured[f"c[{q}]"]) == pytest.approx(
-                expected[q], abs=1e-9)

@@ -45,8 +45,6 @@ def run_configs(name=st.just("prop")):
         interaction=st.sampled_from(ops.INTERACTION_KINDS),
         axis=st.sampled_from("xyz"),
         delta=finite,
-        control=st.sampled_from((1, 2)),
-        dagger_convention=st.sampled_from(ops.DAGGER_CONVENTIONS),
         shots_mode=st.sampled_from(("exact", "sampled")),
         shots=st.integers(1, 2 ** 63 - 1),
         seed=st.integers(0, 2 ** 64 - 1),

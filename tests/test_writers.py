@@ -165,7 +165,7 @@ class TestInvalidScanDelta:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejected_before_any_stepping_or_write(self, tmp_path, monkeypatch, bad):
         steps = []
-        monkeypatch.setattr(dynamics, "run_coupled_batch",
+        monkeypatch.setattr(dynamics, "run_coupled",
                             lambda *args: steps.append(args))
         out = tmp_path / "scan"
         with pytest.raises(ConfigError, match="delta must be finite"):
@@ -177,4 +177,29 @@ class TestInvalidScanDelta:
         rc = main(["scan", "--preset", "fig9", "--delta", "0.2,nan", "--out", str(tmp_path)])
         assert rc == 2
         assert "delta must be finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestInvalidPinchTol:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rejected_before_any_stepping_or_write(self, tmp_path, monkeypatch, bad):
+        steps = []
+        monkeypatch.setattr(dynamics, "run_coupled", lambda *args: steps.append(args))
+        out = tmp_path / "scan"
+        with pytest.raises(ConfigError, match="pinch_tol"):
+            runner.delta_scan(preset("fig9"), (0.2,), out, pinch_tol=bad)
+        assert steps == []
+        assert not out.exists()
+
+    def test_zero_is_accepted(self):
+        rows = runner.delta_scan(apply_overrides(preset("fig9"), periods=2), (0.0,),
+                                 pinch_tol=0.0)
+        assert len(rows) == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "-1"])
+    def test_cli_exits_2_and_writes_nothing(self, tmp_path, capsys, bad):
+        rc = main(["scan", "--preset", "fig9", "--delta", "0.2", "--pinch-tol", bad,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "pinch_tol" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
