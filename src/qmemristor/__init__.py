@@ -1,8 +1,7 @@
 """Digital simulation of dissipative two-level quantum memristors."""
 
-from .analysis import (EntanglementEvent, HysteresisLoop, LoopMetrics,
-                       concurrence, entanglement_events, loop_metrics,
-                       split_loops)
+from .analysis import (EntanglementEvent, LoopMetrics, concurrence,
+                       entanglement_events, loop_metrics, split_loops)
 from .config import RunConfig, apply_overrides, config_from_text, load_config
 from .dynamics import (DecayProfile, InitialState, TimeGrid, TrajectoryState,
                        analytic_oracle, decay_rate, kappa, kappa_schedule,

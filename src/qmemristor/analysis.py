@@ -20,13 +20,6 @@ ENTANGLEMENT_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
-class HysteresisLoop:
-    """One driving period of the I-V curve, in normalized units."""
-    period: int
-    points: np.ndarray  # shape (n, 2), columns (V, I)
-
-
-@dataclass(frozen=True)
 class LoopMetrics:
     area: float
     perimeter: float
@@ -34,13 +27,14 @@ class LoopMetrics:
     pinch_distance: float
 
 
-def split_loops(trace: ObservableTrace, grid: TimeGrid,
-                qubit: int = 0) -> list[HysteresisLoop]:
+def split_loops(trace: ObservableTrace, grid: TimeGrid, qubit: int = 0) -> np.ndarray:
     """Cut a trace into per-period loops, normalized by the trace maxima.
 
     Voltage and current are each divided by their global absolute maximum
-    before any geometry. A trailing fragment shorter than a full period is
-    dropped (and logged); a trace shorter than one period is an error.
+    before any geometry. Returns the (n_loops, steps_per_period, 2) view of
+    the normalized (V, I) points, so loop k is period k. A trailing fragment
+    shorter than a full period is dropped (and logged); a trace shorter than
+    one period is an error.
     """
     q = trace.qubits[qubit]
     v = np.asarray(q.voltage, dtype=float)
@@ -55,8 +49,7 @@ def split_loops(trace: ObservableTrace, grid: TimeGrid,
     leftover = pts.shape[0] - n_loops * s
     if leftover:
         log.info("dropping %d trailing point(s) of an incomplete period", leftover)
-    return [HysteresisLoop(period=k, points=pts[k * s:(k + 1) * s])
-            for k in range(n_loops)]
+    return pts[:n_loops * s].reshape(n_loops, s, 2)
 
 
 ORIGIN_CROSSING_FRACTION = 0.05
@@ -107,8 +100,10 @@ def _crossing_point(points: np.ndarray, edge_start: int) -> np.ndarray:
     return p + frac * (q - p)
 
 
-def loop_metrics(loop: HysteresisLoop) -> LoopMetrics:
+def loop_metrics(points) -> LoopMetrics:
     """Area, perimeter, form factor and pinch distance of a closed loop.
+
+    ``points`` holds the loop's (V, I) vertices, shape (n, 2), in order.
 
     The area of a pinched (self-crossing) loop is the sum of the absolute
     lobe areas, lobes being the arcs between near-origin sign changes of V;
@@ -117,7 +112,7 @@ def loop_metrics(loop: HysteresisLoop) -> LoopMetrics:
     perimeter (V = I = 0 throughout, as for a state with no transverse Bloch
     component) raises NumericsError.
     """
-    pts = np.asarray(loop.points, dtype=float)
+    pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError(f"loop needs at least 3 (V, I) points, got shape {pts.shape}")
     edges = np.roll(pts, -1, axis=0) - pts
@@ -181,30 +176,31 @@ class EntanglementEvent:
     time: float
 
 
-def entanglement_events(c_trace) -> list[EntanglementEvent]:
+def entanglement_events(t, c) -> list[EntanglementEvent]:
     """Sudden-death and sudden-birth events of a concurrence time series.
 
-    A death is a downward crossing of the threshold sustained for at least
-    two consecutive samples; a birth is the next upward crossing after a
-    death. ``c_trace`` is a sequence of (t, C) pairs.
+    ``c[k]`` is the concurrence at time ``t[k]``. A death is a downward
+    crossing of the threshold sustained for at least two consecutive
+    samples; a birth is the next upward crossing after a death.
     """
-    pairs = list(c_trace)
+    t = np.asarray(t, dtype=float).tolist()
+    c = np.asarray(c, dtype=float).tolist()
+    if len(t) != len(c):
+        raise ValueError(f"got {len(t)} times for {len(c)} concurrence values")
     events: list[EntanglementEvent] = []
-    if not pairs:
+    if not c:
         return events
-    above = pairs[0][1] > ENTANGLEMENT_THRESHOLD
+    above = c[0] > ENTANGLEMENT_THRESHOLD
     dead = False
-    for idx in range(1, len(pairs)):
-        t, c = pairs[idx]
-        if above and c <= ENTANGLEMENT_THRESHOLD:
-            nxt = pairs[idx + 1][1] if idx + 1 < len(pairs) else None
-            if nxt is None or nxt <= ENTANGLEMENT_THRESHOLD:
-                events.append(EntanglementEvent("death", float(t)))
+    for idx in range(1, len(c)):
+        if above and c[idx] <= ENTANGLEMENT_THRESHOLD:
+            if idx + 1 == len(c) or c[idx + 1] <= ENTANGLEMENT_THRESHOLD:
+                events.append(EntanglementEvent("death", t[idx]))
                 above = False
                 dead = True
             # a one-sample dip is threshold noise, not a death
-        elif not above and c > ENTANGLEMENT_THRESHOLD:
+        elif not above and c[idx] > ENTANGLEMENT_THRESHOLD:
             if dead:
-                events.append(EntanglementEvent("birth", float(t)))
+                events.append(EntanglementEvent("birth", t[idx]))
             above = True
     return events

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields, replace
 
@@ -46,6 +47,7 @@ class RunConfig:
 
     def validate(self) -> "RunComponents":
         """Build and return all owning-module objects, or raise ConfigError."""
+        _check_types(self)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.plot_normalization not in NORMALIZATIONS:
@@ -104,6 +106,36 @@ class RunComponents:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _INT_FIELDS = {"periods", "steps_per_period", "shots", "seed"}
 _STR_FIELDS = {"name", "mode", "interaction", "axis", "shots_mode", "plot_normalization"}
+
+
+def _field_kind(name: str) -> tuple[str, tuple[type, ...]]:
+    """What a field takes, and the types that pass. The builtin types come
+    first: isinstance tries them in order, and the numbers ABCs are slow."""
+    if name in _STR_FIELDS:
+        return "a string", (str,)
+    if name in _INT_FIELDS:
+        return "an integer", (int, numbers.Integral)
+    return "a real number", (float, int, numbers.Real)
+
+
+# (field, what it takes, types that pass, None allowed)
+_FIELD_KINDS = tuple((name, *_field_kind(name), "None" in annotation)
+                     for name, annotation in _FIELD_TYPES.items())
+
+
+def _check_types(config: RunConfig) -> None:
+    """String fields take strings, int fields integers and float fields real
+    numbers (an int passes); neither numeric kind takes a bool, and only the
+    optional fields (typed ``float | None``) take None."""
+    for name, want, types, optional in _FIELD_KINDS:
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ConfigError(f"invalid configuration {config.name!r}: "
+                              f"{name} must be {want}, got {value!r}")
+
+
 # one Python string literal (what to_text writes), then an optional comment
 _QUOTED = re.compile(r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")\s*(?:#.*)?""")
 

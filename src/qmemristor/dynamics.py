@@ -102,11 +102,11 @@ class InitialState:
 
 @dataclass(frozen=True)
 class TrajectoryState:
-    """State of a trajectory at time `time`.
+    """State of a single-memristor trajectory at time `time`, as `run_single`
+    returns it.
 
-    ``rho`` is the interaction-picture density matrix (2x2 for a single
-    memristor, 4x4 for a coupled pair). The states of one trajectory are
-    read-only views into one (n_steps+1, d, d) array.
+    ``rho`` is the 2x2 interaction-picture density matrix, a read-only view
+    into the trajectory's one (n_steps+1, 2, 2) array.
     """
     time: float
     rho: np.ndarray
@@ -204,7 +204,7 @@ def run_single(init: InitialState, p: DecayProfile,
     """Digital trajectory of one memristor: one damping Kraus map per step."""
     kappas = kappa_schedule(grid, p)
     rhos = _evolve(init.density_matrix()[None], kappas[:, None], None, "single trajectory")
-    return trajectory_states(grid.times(p.omega), rhos[0])
+    return [TrajectoryState(t, r) for t, r in zip(grid.times(p.omega).tolist(), rhos[0])]
 
 
 def run_coupled(init1: InitialState, init2: InitialState,
@@ -230,11 +230,6 @@ def run_coupled(init1: InitialState, init2: InitialState,
                      dtype=complex).reshape(-1, 4, 4)
     return _evolve(np.broadcast_to(rho0, gates.shape), np.stack([k1, k2], axis=1), gates,
                    "coupled trajectory")
-
-
-def trajectory_states(times: np.ndarray, rhos: np.ndarray) -> list[TrajectoryState]:
-    """One trajectory's (n_steps+1, d, d) states as TrajectoryState views."""
-    return [TrajectoryState(t, r) for t, r in zip(times.tolist(), rhos)]
 
 
 def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, gates: np.ndarray | None,

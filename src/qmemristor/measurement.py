@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ops
-from .dynamics import DecayProfile, TrajectoryState, decay_rate
+from .dynamics import DecayProfile, decay_rate
 from .errors import NumericsError, StateError
 from .linalg import partial_trace
 
@@ -135,32 +135,35 @@ def current_series(sx_s: np.ndarray, sy_s: np.ndarray, dt: float,
     return scale * dsy - scale * np.asarray(sx_s, dtype=float)
 
 
-def build_trace(states: Sequence[TrajectoryState],
+def build_trace(states: np.ndarray,
                 profiles: Sequence[DecayProfile],
+                times: np.ndarray,
                 shots: ShotConfig,
                 concurrence: np.ndarray | None = None) -> ObservableTrace:
     """Assemble the observable series of a trajectory.
 
-    ``profiles`` carries one decay profile per qubit; for 4x4 states each
-    qubit's Bloch components come from its reduced state. The states are
-    stacked into one (n, d, d) array: the reduced states come from one
-    einsum per qubit, and exact components from one stacked matmul and trace,
-    equal to ``exact_expectation`` point by point. Sampled components call
+    ``states`` is the trajectory's (n, d, d) stack of interaction-picture
+    states at the grid ``times``. ``profiles`` carries one decay profile per
+    qubit; for 4x4 states each qubit's Bloch components come from its reduced
+    state. The reduced states come from one einsum per qubit, and exact
+    components from one stacked matmul and trace, equal to
+    ``exact_expectation`` point by point. Sampled components call
     ``sampled_expectation`` once per point. The interaction-picture
     components are rotated to the lab frame and turned into voltage and
     current. Raises NumericsError if a voltage or current is not finite (an
     omega so large that the finite difference overflows).
     """
-    n_qubits = 1 if states[0].rho.shape[0] == 2 else 2
+    n_qubits = 1 if states.shape[-1] == 2 else 2
     if len(profiles) != n_qubits:
         raise ValueError(f"expected {n_qubits} decay profile(s), got {len(profiles)}")
-    t = np.array([s.time for s in states])
+    t = np.asarray(times, dtype=float)
+    if t.shape != states.shape[:1]:
+        raise ValueError(f"got {t.size} times for {len(states)} states")
     dt = float(t[1] - t[0])
     omega = profiles[0].omega
-    rhos = np.stack([s.rho for s in states])
     series = []
     for q in range(n_qubits):
-        reduced = rhos if n_qubits == 1 else partial_trace(rhos, keep=q + 1)
+        reduced = states if n_qubits == 1 else partial_trace(states, keep=q + 1)
         if shots.mode == "sampled":
             sx_i, sy_i = (np.array([sampled_expectation(r, axis, shots, (q, i))
                                     for i, r in enumerate(reduced)])

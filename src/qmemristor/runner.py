@@ -44,8 +44,8 @@ def execute(config: RunConfig) -> RunResult:
     """Run the configured simulation and analysis without touching disk."""
     parts = config.validate()
     if config.mode == "single":
-        return _analyse(config, parts,
-                        dynamics.run_single(parts.init1, parts.profile1, parts.grid))
+        states = dynamics.run_single(parts.init1, parts.profile1, parts.grid)
+        return _analyse(config, parts, np.stack([s.rho for s in states]))
     return next(_coupled_results([config], [parts]))
 
 
@@ -59,7 +59,8 @@ def _coupled_results(configs: list[RunConfig], parts: list[RunComponents]):
 
     The configs may differ only in their coupling, so one
     `dynamics.run_coupled` call steps them all; concurrence and the
-    analysis run per trajectory, on its slice of the stepped states.
+    analysis run per trajectory, on its read-only (n_steps+1, 4, 4) slice
+    of the stepped array.
     """
     if not parts:
         return
@@ -67,23 +68,22 @@ def _coupled_results(configs: list[RunConfig], parts: list[RunComponents]):
     rhos = dynamics.run_coupled(first.init1, first.init2, first.profile1,
                                 first.profile2, first.grid,
                                 [p.interaction for p in parts])
-    times = first.grid.times(first.profile1.omega)
     for config, p, trajectory in zip(configs, parts, rhos):
-        yield _analyse(config, p, dynamics.trajectory_states(times, trajectory),
-                       analysis.concurrence(trajectory))
+        yield _analyse(config, p, trajectory, analysis.concurrence(trajectory))
 
 
-def _analyse(config: RunConfig, parts: RunComponents, states,
+def _analyse(config: RunConfig, parts: RunComponents, states: np.ndarray,
              conc: np.ndarray | None = None) -> RunResult:
     """Observables, loop metrics and entanglement events of one stepped
-    trajectory; ``conc`` is its concurrence series, None for a single run."""
-    trace = measurement.build_trace(states, parts.profiles, parts.shots,
+    trajectory, given as its (n_steps+1, d, d) state stack on the grid of
+    ``parts``; ``conc`` is its concurrence series, None for a single run."""
+    times = parts.grid.times(parts.profile1.omega)
+    trace = measurement.build_trace(states, parts.profiles, times, parts.shots,
                                     concurrence=conc)
     metrics = tuple([analysis.loop_metrics(loop)
                      for loop in analysis.split_loops(trace, parts.grid, qubit=q)]
                     for q in range(len(trace.qubits)))
-    events = (analysis.entanglement_events(zip(trace.t, conc))
-              if conc is not None else [])
+    events = analysis.entanglement_events(trace.t, conc) if conc is not None else []
     return RunResult(config, trace, metrics, events)
 
 

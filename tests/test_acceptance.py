@@ -182,20 +182,18 @@ def test_criterion_6_concurrence_units():
 
 
 def test_criterion_7_form_factor_geometry():
-    from qmemristor.analysis import HysteresisLoop
-
     angles = np.linspace(0, 2 * math.pi, 1001)[:-1]
     circle = np.column_stack([np.cos(angles), np.sin(angles)])
-    f_circle = loop_metrics(HysteresisLoop(0, circle)).form_factor
+    f_circle = loop_metrics(circle).form_factor
 
     square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    f_square = loop_metrics(HysteresisLoop(0, square)).form_factor
+    f_square = loop_metrics(square).form_factor
 
     rng = np.random.default_rng(707)
     angles = np.sort(rng.uniform(0, 2 * math.pi, size=14))
     rx, ry = rng.uniform(0.5, 2.0, size=2)
     base = np.column_stack([rx * np.cos(angles), ry * np.sin(angles)])
-    f_base = loop_metrics(HysteresisLoop(0, base)).form_factor
+    f_base = loop_metrics(base).form_factor
     worst_sim = 0.0
     for _ in range(25):
         phi = rng.uniform(0, 2 * math.pi)
@@ -204,7 +202,7 @@ def test_criterion_7_form_factor_geometry():
         rot = np.array([[math.cos(phi), -math.sin(phi)],
                         [math.sin(phi), math.cos(phi)]])
         moved = scale * base @ rot.T + shift
-        f_moved = loop_metrics(HysteresisLoop(0, moved)).form_factor
+        f_moved = loop_metrics(moved).form_factor
         worst_sim = max(worst_sim, abs(f_moved - f_base) / f_base)
 
     ok = (abs(f_circle - 1.0) <= 1e-3 and abs(f_square - math.pi / 4) <= 1e-9

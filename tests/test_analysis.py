@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD, EntanglementEvent,
-                                 HysteresisLoop, concurrence,
+from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD, concurrence,
                                  entanglement_events, loop_metrics,
                                  split_loops)
 from qmemristor.dynamics import TimeGrid
@@ -27,7 +26,7 @@ def make_trace(v, i, n_qubits=1):
 
 
 def polygon_loop(points):
-    return HysteresisLoop(period=0, points=np.asarray(points, dtype=float))
+    return np.asarray(points, dtype=float)
 
 
 def star_polygon(rng, n_vertices, center=(0.0, 0.0)):
@@ -77,18 +76,20 @@ class TestSplitLoops:
         grid = TimeGrid(20, 30)
         n = grid.n_steps + 1
         t = np.linspace(0, 40 * math.pi, n)
-        trace = make_trace(np.sin(t), np.cos(t))
-        loops = split_loops(trace, grid)
-        assert len(loops) == 20
-        assert all(l.points.shape == (30, 2) for l in loops)
-        assert [l.period for l in loops] == list(range(20))
+        v, i = np.sin(t), np.cos(t)
+        loops = split_loops(make_trace(v, i), grid)
+        assert loops.shape == (20, 30, 2)
+        # loop k is period k: samples 30k .. 30k + 29, in order
+        pts = np.column_stack([v / np.abs(v).max(), i / np.abs(i).max()])
+        for k, loop in enumerate(loops):
+            assert np.array_equal(loop, pts[k * 30:(k + 1) * 30])
 
     def test_normalization_by_global_maxima(self):
         grid = TimeGrid(1, 10)
         v = np.linspace(-4.0, 4.0, 11)
         i = np.linspace(-2.0, 2.0, 11)
         loops = split_loops(make_trace(v, i), grid)
-        pts = loops[0].points
+        pts = loops[0]
         assert np.abs(pts[:, 0]).max() <= 1.0 + 1e-12
         assert np.abs(pts[:, 1]).max() <= 1.0 + 1e-12
 
@@ -271,23 +272,23 @@ class TestEntanglementEvents:
     def test_monotone_decay(self):
         t = np.linspace(0, 10, 50)
         c = np.exp(-t) * 0.5
-        events = entanglement_events(zip(t, c))
+        events = entanglement_events(t, c)
         kinds = [e.kind for e in events]
         assert kinds == ["death"]
 
     def test_all_zero(self):
         t = np.linspace(0, 10, 50)
-        assert entanglement_events(zip(t, np.zeros(50))) == []
+        assert entanglement_events(t, np.zeros(50)) == []
 
     def test_rise_without_prior_death_is_not_birth(self):
         t = np.arange(5.0)
         c = [0.0, 0.0, 0.1, 0.2, 0.3]
-        assert entanglement_events(zip(t, c)) == []
+        assert entanglement_events(t, c) == []
 
     def test_death_then_birth(self):
         t = np.arange(8.0)
         c = [0.3, 0.2, 0.0, 0.0, 0.0, 0.2, 0.3, 0.3]
-        events = entanglement_events(zip(t, c))
+        events = entanglement_events(t, c)
         assert [e.kind for e in events] == ["death", "birth"]
         assert events[0].time == 2.0
         assert events[1].time == 5.0
@@ -295,7 +296,11 @@ class TestEntanglementEvents:
     def test_single_sample_dip_ignored(self):
         t = np.arange(6.0)
         c = [0.3, 0.2, 0.0, 0.2, 0.3, 0.3]
-        assert entanglement_events(zip(t, c)) == []
+        assert entanglement_events(t, c) == []
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            entanglement_events(np.arange(5.0), np.zeros(4))
 
     def test_threshold_value(self):
         assert ENTANGLEMENT_THRESHOLD == 1e-4

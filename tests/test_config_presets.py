@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from qmemristor.config import (RunConfig, apply_overrides, config_from_text,
                                load_config)
 from qmemristor.errors import ConfigError
 from qmemristor.presets import PRESET_NAMES, PRESET_NOTES, preset
+from qmemristor.runner import execute
 
 from conftest import OLD_FIG9_TEXT
 
@@ -137,6 +139,28 @@ class TestValidation:
     def test_grid_floor_is_caught(self):
         with pytest.raises(ConfigError):
             RunConfig(mode="single", a1=0.5, gamma0_1=0.1, steps_per_period=4).validate()
+
+    @pytest.mark.parametrize("field", [
+        {"periods": 2.5},
+        {"steps_per_period": 30.5},
+        {"shots": 10.9, "shots_mode": "sampled"},
+        {"seed": 1.5},
+        {"periods": True},
+        {"gamma0_1": "0.1"},
+        {"omega": True},
+        {"name": 3},
+    ], ids=lambda field: "-".join(f"{k}={v!r}" for k, v in field.items()))
+    def test_wrong_typed_field_is_a_config_error(self, field):
+        cfg = RunConfig(**{"mode": "single", "a1": math.pi / 4, "periods": 2, **field})
+        with pytest.raises(ConfigError, match=next(iter(field))):
+            execute(cfg)
+
+    def test_numeric_types_that_pass(self):
+        cfg = RunConfig(mode="single", a1=1, omega=1, gamma0_1=np.float32(0.25),
+                        periods=np.int64(2), seed=np.uint64(3))
+        assert cfg.validate().grid.n_steps == 60
+        coupled = RunConfig(mode="coupled", a1=0.5, a2=1, gamma0_2=1, b2=None)
+        assert coupled.validate().init2.b == 0.0
 
     def test_components_of_coupled_preset(self):
         parts = preset("fig7").validate()

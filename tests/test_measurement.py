@@ -5,8 +5,7 @@ import pytest
 
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
-                                 TrajectoryState, run_coupled, run_single,
-                                 trajectory_states)
+                                 run_coupled, run_single)
 from qmemristor.errors import StateError
 from qmemristor.linalg import partial_trace
 from qmemristor.measurement import (ShotConfig, build_trace, current_series,
@@ -25,10 +24,14 @@ def sampled(seed, shots=5000):
     return ShotConfig(mode="sampled", shots=shots, seed=seed)
 
 
+def single_states(init, p, grid):
+    """One single trajectory as its (n_steps+1, 2, 2) stack, as `execute` builds it."""
+    return np.stack([s.rho for s in run_single(init, p, grid)])
+
+
 def coupled_states(init1, init2, p, grid, spec):
-    """One coupled trajectory as TrajectoryState views, as `execute` builds it."""
-    rhos = run_coupled(init1, init2, p, p, grid, [spec])
-    return trajectory_states(grid.times(p.omega), rhos[0])
+    """One coupled trajectory as its slice of the stepped array, as `execute` passes it."""
+    return run_coupled(init1, init2, p, p, grid, [spec])[0]
 
 
 class TestExactExpectation:
@@ -153,8 +156,9 @@ class TestCurrent:
     def test_trace_wrapper_matches_stored_column(self):
         init = InitialState(math.pi / 4, math.pi / 5)
         profile = DecayProfile(0.4, 1.0)
-        states = run_single(init, profile, TimeGrid(1, 15))
-        trace = build_trace(states, [profile], EXACT)
+        grid = TimeGrid(1, 15)
+        states = single_states(init, profile, grid)
+        trace = build_trace(states, [profile], grid.times(1.0), EXACT)
         q = trace.qubits[0]
         dt = float(trace.t[1] - trace.t[0])
         assert np.allclose(current_series(q.sx_s, q.sy_s, dt, 1.0), q.current)
@@ -188,8 +192,8 @@ class TestBuildTrace:
         init = InitialState(math.pi / 4, math.pi / 5)
         profile = DecayProfile(0.4, 1.0)
         grid = TimeGrid(2, 30)
-        states = run_single(init, profile, grid)
-        trace = build_trace(states, [profile], EXACT)
+        states = single_states(init, profile, grid)
+        trace = build_trace(states, [profile], grid.times(1.0), EXACT)
         assert len(trace.qubits) == 1
         assert trace.t.shape == (grid.n_steps + 1,)
         q = trace.qubits[0]
@@ -203,7 +207,7 @@ class TestBuildTrace:
         grid = TimeGrid(1, 10)
         states = coupled_states(init, init, p, grid, InteractionSpec("native", "y", 0.1))
         conc = np.zeros(grid.n_steps + 1)
-        trace = build_trace(states, [p, p], EXACT, concurrence=conc)
+        trace = build_trace(states, [p, p], grid.times(1.0), EXACT, concurrence=conc)
         assert len(trace.qubits) == 2
         assert trace.concurrence is not None
 
@@ -211,20 +215,20 @@ class TestBuildTrace:
         init = InitialState(math.pi / 4, math.pi / 5)
         profile = DecayProfile(0.4, 1.0)
         grid = TimeGrid(1, 15)
-        states = run_single(init, profile, grid)
-        t1 = build_trace(states, [profile], sampled(5))
-        t2 = build_trace(states, [profile], sampled(5))
+        states = single_states(init, profile, grid)
+        t1 = build_trace(states, [profile], grid.times(1.0), sampled(5))
+        t2 = build_trace(states, [profile], grid.times(1.0), sampled(5))
         assert np.array_equal(t1.qubits[0].sx_i, t2.qubits[0].sx_i)
         assert np.array_equal(t1.qubits[0].current, t2.qubits[0].current)
-        t3 = build_trace(states, [profile], sampled(6))
+        t3 = build_trace(states, [profile], grid.times(1.0), sampled(6))
         assert not np.array_equal(t1.qubits[0].sx_i, t3.qubits[0].sx_i)
 
     def test_exact_bloch_norm_above_one_raises(self):
         # not a state: <sigma_x> = 1.2 puts the Bloch vector outside the disc
         bad = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-        states = [TrajectoryState(0.1 * i, bad) for i in range(5)]
+        states = np.stack([bad] * 5)
         with pytest.raises(StateError):
-            build_trace(states, [DecayProfile(0.4, 1.0)], EXACT)
+            build_trace(states, [DecayProfile(0.4, 1.0)], 0.1 * np.arange(5), EXACT)
 
     def test_sampled_shot_noise_outside_unit_disc_is_accepted(self):
         # at this seed shot noise puts one point of the equatorial fig4
@@ -241,11 +245,11 @@ class TestBuildTrace:
         if coupled:
             states = coupled_states(init, InitialState(0.4, 2.5), p, grid,
                                     InteractionSpec("controlled_rotation", "x", 0.7))
-            reduced = [[partial_trace(s.rho, q + 1) for s in states] for q in (0, 1)]
+            reduced = [[partial_trace(s, q + 1) for s in states] for q in (0, 1)]
         else:
-            states = run_single(init, p, grid)
-            reduced = [[s.rho for s in states]]
-        trace = build_trace(states, [p] * len(reduced), EXACT)
+            states = single_states(init, p, grid)
+            reduced = [list(states)]
+        trace = build_trace(states, [p] * len(reduced), grid.times(1.0), EXACT)
         for series, rhos in zip(trace.qubits, reduced):
             for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
                 expected = np.array([exact_expectation(r, axis) for r in rhos])
@@ -254,22 +258,30 @@ class TestBuildTrace:
     def test_sampled_columns_use_one_stream_per_point(self):
         init = InitialState(math.pi / 4, 0.5)
         p = DecayProfile(0.3, 1.0)
-        states = coupled_states(init, init, p, TimeGrid(1, 10),
-                                InteractionSpec("native", "y", 0.2))
+        grid = TimeGrid(1, 10)
+        states = coupled_states(init, init, p, grid, InteractionSpec("native", "y", 0.2))
         cfg = sampled(11, shots=100)
-        trace = build_trace(states, [p, p], cfg)
+        trace = build_trace(states, [p, p], grid.times(1.0), cfg)
         for q, series in enumerate(trace.qubits):
             for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
-                expected = [sampled_expectation(partial_trace(s.rho, q + 1), axis, cfg, (q, i))
+                expected = [sampled_expectation(partial_trace(s, q + 1), axis, cfg, (q, i))
                             for i, s in enumerate(states)]
                 assert np.array_equal(column, expected)
 
     def test_profile_count_mismatch(self):
         init = InitialState(0.3, 0.0)
         profile = DecayProfile(0.4, 1.0)
-        states = run_single(init, profile, TimeGrid(1, 10))
+        grid = TimeGrid(1, 10)
+        states = single_states(init, profile, grid)
         with pytest.raises(ValueError):
-            build_trace(states, [profile, profile], EXACT)
+            build_trace(states, [profile, profile], grid.times(1.0), EXACT)
+
+    def test_times_count_mismatch(self):
+        profile = DecayProfile(0.4, 1.0)
+        grid = TimeGrid(1, 10)
+        states = single_states(InitialState(0.3, 0.0), profile, grid)
+        with pytest.raises(ValueError):
+            build_trace(states, [profile], grid.times(1.0)[:-1], EXACT)
 
 
 class TestShotConfigValidation:
