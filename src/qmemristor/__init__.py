@@ -10,8 +10,8 @@ from .dynamics import (DecayProfile, InitialState, TimeGrid, TrajectoryState,
 from .errors import (ConfigError, DimensionError, IntegrationError,
                      NumericsError, StateError)
 from .measurement import (ObservableTrace, QubitSeries, ShotConfig,
-                          build_trace, current_series, exact_expectation,
-                          sampled_expectation, voltage)
+                          build_trace, current_series, sampled_expectation,
+                          voltage)
 from .ops import (InteractionSpec, KrausPair, apply_channel,
                   apply_interaction, collision_step, damping_kraus,
                   frame_to_schroedinger, interaction_unitary)

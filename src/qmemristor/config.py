@@ -106,6 +106,7 @@ class RunComponents:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _INT_FIELDS = {"periods", "steps_per_period", "shots", "seed"}
 _STR_FIELDS = {"name", "mode", "interaction", "axis", "shots_mode", "plot_normalization"}
+_REAL_TYPES = (float, int, numbers.Real)
 
 
 def _field_kind(name: str) -> tuple[str, tuple[type, ...]]:
@@ -115,7 +116,7 @@ def _field_kind(name: str) -> tuple[str, tuple[type, ...]]:
         return "a string", (str,)
     if name in _INT_FIELDS:
         return "an integer", (int, numbers.Integral)
-    return "a real number", (float, int, numbers.Real)
+    return "a real number", _REAL_TYPES
 
 
 # (field, what it takes, types that pass, None allowed)
@@ -134,6 +135,13 @@ def _check_types(config: RunConfig) -> None:
         if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(f"invalid configuration {config.name!r}: "
                               f"{name} must be {want}, got {value!r}")
+
+
+def check_real(what: str, value) -> None:
+    """Apply a float field's type rule to a value that is not a config field:
+    a real number (an int passes) and not a bool, else ConfigError."""
+    if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be a real number, got {value!r}")
 
 
 # one Python string literal (what to_text writes), then an optional comment

@@ -112,11 +112,12 @@ class TrajectoryState:
     rho: np.ndarray
 
 
-def decay_rate(t: float, p: DecayProfile) -> float:
-    """Decay rate at time t; ``constant_rate`` if set. Never negative."""
+def decay_rate(t: float | np.ndarray, p: DecayProfile) -> float | np.ndarray:
+    """Decay rate at time t, a float or an array of times; ``constant_rate``
+    if set, in t's shape. Never negative."""
     if p.constant_rate is not None:
-        return p.constant_rate
-    return p.gamma0 * (1.0 - math.sin(math.cos(p.omega * t)))
+        return np.full(np.shape(t), p.constant_rate, dtype=float)
+    return p.gamma0 * (1.0 - np.sin(np.cos(p.omega * t)))
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -381,7 +382,7 @@ def _rk4_propagator(p: DecayProfile, starts: np.ndarray, h: float) -> np.ndarray
     state come from one ordered product instead of a Python-level loop.
     """
     ham, diss = _liouvillian_parts(p.omega)
-    rate = _rk4_rates(p, starts, h)
+    rate = decay_rate(starts[:, None] + [0.0, 0.5 * h, h], p)
     l_lo = ham + rate[:, 0, None, None] * diss
     l_mid = ham + rate[:, 1, None, None] * diss
     l_hi = ham + rate[:, 2, None, None] * diss
@@ -391,14 +392,6 @@ def _rk4_propagator(p: DecayProfile, starts: np.ndarray, h: float) -> np.ndarray
     k3 = l_mid @ (ident + 0.5 * h * k2)
     k4 = l_hi @ (ident + h * k3)
     return ident + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_rates(p: DecayProfile, starts: np.ndarray, h: float) -> np.ndarray:
-    """Decay rate at t, t + h/2 and t + h for each t in ``starts``, shape (n, 3)."""
-    times = starts[:, None] + np.array([0.0, 0.5 * h, h])
-    if p.constant_rate is not None:
-        return np.full(times.shape, p.constant_rate)
-    return p.gamma0 * (1.0 - np.sin(np.cos(p.omega * times)))
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:

@@ -6,9 +6,10 @@ combines the time derivative of <sigma_y> with <sigma_x>. The derivative is
 taken by finite differences on the simulation grid, which is the dominant
 discretization error of the whole pipeline.
 
-Shot emulation draws a binomial count per (time step, axis) from the exact
-outcome probability, with an independent, deterministically derived RNG
-stream per point so that serial and parallel evaluation coincide.
+Exact components come from one stacked trace per qubit; shot emulation
+draws a binomial count per (time step, axis) from their outcome
+probability, with an independent, deterministically derived RNG stream per
+point so that serial and parallel evaluation coincide.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class ShotConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError(f"shots must be >= 1 in sampled mode, got {self.shots}")
+        if self.mode == "sampled" and not 1 <= self.shots < 2 ** 63:
+            # the binomial draw takes a signed 64-bit count
+            raise ValueError(f"shots must lie in [1, 2**63) in sampled mode, got {self.shots}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
@@ -69,26 +71,20 @@ class ObservableTrace:
     concurrence: np.ndarray | None = None
 
 
-def exact_expectation(rho: np.ndarray, axis: str) -> float:
-    """Tr(sigma_axis rho); the imaginary part of the trace is discarded."""
-    value = np.trace(ops.PAULI[axis] @ rho)
-    return float(value.real)
-
-
 def _point_rng(cfg: ShotConfig, stream: tuple[int, ...]) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, *stream]))
 
 
-def sampled_expectation(rho: np.ndarray, axis: str, cfg: ShotConfig,
+def sampled_expectation(exact: float, axis: str, cfg: ShotConfig,
                         stream: tuple[int, ...] = ()) -> float:
-    """Binomial shot estimate of <sigma_axis>.
+    """Binomial shot estimate of <sigma_axis>, whose exact value is ``exact``.
 
     ``stream`` identifies the measurement point (qubit, step); together with
     the axis it selects a reproducible RNG substream of the master seed.
     """
     if cfg.mode != "sampled":
         raise ValueError("sampled_expectation requires a sampled-mode ShotConfig")
-    p_up = 0.5 * (1.0 + exact_expectation(rho, axis))
+    p_up = 0.5 * (1.0 + exact)
     p_up = min(max(p_up, 0.0), 1.0)
     rng = _point_rng(cfg, (*stream, _AXIS_INDEX[axis]))
     k = rng.binomial(cfg.shots, p_up)
@@ -103,27 +99,21 @@ def voltage(sy_s, omega: float):
 def finite_difference(y: np.ndarray, dt: float) -> np.ndarray:
     """Derivative of a uniformly sampled series.
 
-    Five-point fourth-order stencils (central inside, one-sided at the four
-    boundary points) when the series has at least five samples; three-point
-    second-order stencils otherwise. Fourth order is needed to keep the
-    discretization residual of the current far below the memristive-identity
-    tolerances at 30 steps per period.
+    Five-point fourth-order stencils, central inside and one-sided at the
+    four boundary points; fewer than five samples raise ValueError. Fourth
+    order is needed to keep the discretization residual of the current far
+    below the memristive-identity tolerances at 30 steps per period.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
-    if n < 3:
-        raise ValueError(f"need at least 3 points to differentiate, got {n}")
+    if n < 5:
+        raise ValueError(f"need at least 5 points to differentiate, got {n}")
     d = np.empty_like(y)
-    if n >= 5:
-        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dt)
-        d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * dt)
-        d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * dt)
-        d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * dt)
-        d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * dt)
-    else:
-        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-        d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
-        d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
+    d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * dt)
+    d[0] = (-25.0 * y[0] + 48.0 * y[1] - 36.0 * y[2] + 16.0 * y[3] - 3.0 * y[4]) / (12.0 * dt)
+    d[1] = (-3.0 * y[0] - 10.0 * y[1] + 18.0 * y[2] - 6.0 * y[3] + y[4]) / (12.0 * dt)
+    d[-2] = (3.0 * y[-1] + 10.0 * y[-2] - 18.0 * y[-3] + 6.0 * y[-4] - y[-5]) / (12.0 * dt)
+    d[-1] = (25.0 * y[-1] - 48.0 * y[-2] + 36.0 * y[-3] - 16.0 * y[-4] + 3.0 * y[-5]) / (12.0 * dt)
     return d
 
 
@@ -145,13 +135,13 @@ def build_trace(states: np.ndarray,
     ``states`` is the trajectory's (n, d, d) stack of interaction-picture
     states at the grid ``times``. ``profiles`` carries one decay profile per
     qubit; for 4x4 states each qubit's Bloch components come from its reduced
-    state. The reduced states come from one einsum per qubit, and exact
-    components from one stacked matmul and trace, equal to
-    ``exact_expectation`` point by point. Sampled components call
-    ``sampled_expectation`` once per point. The interaction-picture
-    components are rotated to the lab frame and turned into voltage and
-    current. Raises NumericsError if a voltage or current is not finite (an
-    omega so large that the finite difference overflows).
+    state. The reduced states come from one einsum per qubit, and the exact
+    components from one stacked matmul and trace; sampled mode draws each
+    point from its exact value with one ``sampled_expectation`` call. The
+    interaction-picture components are rotated to the lab frame and turned
+    into voltage and current, and the gamma column comes from one
+    ``decay_rate`` call. Raises NumericsError if a voltage or current is not
+    finite (an omega so large that the finite difference overflows).
     """
     n_qubits = 1 if states.shape[-1] == 2 else 2
     if len(profiles) != n_qubits:
@@ -164,15 +154,16 @@ def build_trace(states: np.ndarray,
     series = []
     for q in range(n_qubits):
         reduced = states if n_qubits == 1 else partial_trace(states, keep=q + 1)
+        bloch = np.trace(_TRANSVERSE[:, None] @ reduced, axis1=2, axis2=3).real
         if shots.mode == "sampled":
-            sx_i, sy_i = (np.array([sampled_expectation(r, axis, shots, (q, i))
-                                    for i, r in enumerate(reduced)])
-                          for axis in ("x", "y"))
+            sx_i, sy_i = (np.array([sampled_expectation(e, axis, shots, (q, i))
+                                    for i, e in enumerate(exact.tolist())])
+                          for axis, exact in zip("xy", bloch))
         else:
-            sx_i, sy_i = np.trace(_TRANSVERSE[:, None] @ reduced, axis1=2, axis2=3).real.copy()
+            sx_i, sy_i = bloch.copy()
             _check_bloch_norm(sx_i, sy_i)
         sx_s, sy_s = ops.frame_to_schroedinger(sx_i, sy_i, t, omega)
-        gamma = np.array([decay_rate(ti, profiles[q]) for ti in t])
+        gamma = decay_rate(t, profiles[q])
         # the finite check below reports an overflow; numpy need not warn first
         with np.errstate(over="ignore", invalid="ignore"):
             v = voltage(sy_s, omega)

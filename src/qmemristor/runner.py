@@ -17,12 +17,12 @@ import numpy as np
 
 from . import analysis, dynamics, measurement, svgplot
 from .analysis import EntanglementEvent, LoopMetrics
-from .config import RunComponents, RunConfig, apply_overrides
+from .config import RunComponents, RunConfig, check_real
 from .errors import ConfigError
 from .measurement import ObservableTrace
 
 DEFAULT_PINCH_TOL = 3e-3
-DEFAULT_SCAN_DELTAS = tuple(np.linspace(0.1, 1.0, 10))
+DEFAULT_SCAN_DELTAS = tuple(np.linspace(0.1, 1.0, 10).tolist())
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,8 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     """Run a coupled config once per coupling strength and summarize.
 
     ``pinch_tol`` and every delta's config are validated before any stepping
-    or write, so an invalid one raises ConfigError with nothing on disk. All
+    or write, with the config layer's type rule (a real number, not a bool
+    or None), so an invalid one raises ConfigError with nothing on disk. All
     deltas are then stepped together by one `dynamics.run_coupled` call (one
     kappa schedule, one Kraus stack, one gate per delta), and each delta's
     trajectory is analysed, and written if asked, as `run` would. The scan
@@ -127,16 +128,17 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     """
     if base.mode != "coupled":
         raise ConfigError("delta_scan needs a coupled configuration")
+    check_real("pinch_tol", pinch_tol)
     if not 0.0 <= pinch_tol < np.inf:
         raise ConfigError(f"pinch_tol must be nonnegative and finite, got {pinch_tol!r}")
-    deltas = [float(d) for d in deltas]
+    configs = [replace(base, delta=d) for d in deltas]
+    parts = [cfg.validate() for cfg in configs]
+    deltas = [float(cfg.delta) for cfg in configs]
     dirs = [f"delta_{d:.4f}" for d in deltas]
     out = Path(out_dir) if out_dir is not None else None
     clash = [d for d, name in zip(deltas, dirs) if dirs.count(name) > 1]
     if out is not None and clash:
         raise ConfigError(f"deltas {clash} share run directory names at 4 decimals")
-    configs = [apply_overrides(base, delta=d) for d in deltas]
-    parts = [cfg.validate() for cfg in configs]
     rows = []
     for d, name, result in zip(deltas, dirs, _coupled_results(configs, parts)):
         if out is not None:

@@ -4,6 +4,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from qmemristor import ops
+
 
 # fig9 as RunConfig.to_text wrote it while the config still had the
 # control and dagger_convention fields
@@ -41,6 +43,12 @@ def random_density_matrix(rng, dim=2):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def expectation(rho, axis):
+    """Tr(sigma_axis rho) of one 2x2 state, the imaginary part discarded: the
+    per-point reference for the stacked Bloch columns of `build_trace`."""
+    return float(np.trace(ops.PAULI[axis] @ rho).real)
 
 
 def random_pure_state(rng, dim=2):

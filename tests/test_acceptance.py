@@ -95,8 +95,7 @@ def test_criterion_3_pinched_hysteresis():
 
 def test_criterion_4_shot_noise_model():
     # estimator spread on a <sigma>=0 state
-    mixed = np.eye(2, dtype=complex) / 2
-    estimates = [sampled_expectation(mixed, "x", ShotConfig("sampled", 5000, seed))
+    estimates = [sampled_expectation(0.0, "x", ShotConfig("sampled", 5000, seed))
                  for seed in range(200)]
     std = float(np.std(estimates))
     target = 1.0 / math.sqrt(5000)

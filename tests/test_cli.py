@@ -170,6 +170,15 @@ class TestExitCodes:
         bad.write_text("mode = 'single'\na1 = 9.0\ngamma0_1 = 0.1\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_shots_past_the_binomial_range(self, tmp_path, capsys):
+        # the sampled fig4 run draws binomial counts, which take a signed
+        # 64-bit number of shots
+        rc = main(["run", "--preset", "fig4", "--periods", "1",
+                   "--shots", str(2 ** 63), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "shots" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_io_error(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file, not a directory")

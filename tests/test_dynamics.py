@@ -277,19 +277,23 @@ class TestLindbladOracle:
             lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 0.0)
 
     def test_rate_table_matches_decay_rate(self, rng):
+        # the RK4 propagators take their rates from one decay_rate call over
+        # an (n, 3) table of times; each entry is the per-time scalar call
         h = 0.37
         starts = np.sort(rng.uniform(0.0, 50.0, size=400))
+        times = starts[:, None] + [0.0, 0.5 * h, h]
         for p in (FIG4_PROFILE, DecayProfile(2.3, 3.7)):
-            table = dynamics._rk4_rates(p, starts, h)
-            ref = np.array([[decay_rate(t, p), decay_rate(t + 0.5 * h, p), decay_rate(t + h, p)]
-                            for t in starts])
+            table = decay_rate(times, p)
+            ref = np.array([[decay_rate(t, p) for t in row] for row in times.tolist()])
             assert table.shape == (400, 3)
-            assert np.all(np.abs(table - ref) <= 4 * np.spacing(ref))
+            assert table.tobytes() == ref.tobytes()
 
     def test_rate_table_exact_for_constant_rate(self):
         p = DecayProfile(1.0, 1.0, constant_rate=0.123)
-        table = dynamics._rk4_rates(p, np.arange(5) * 0.1, 0.1)
+        table = decay_rate(np.arange(5)[:, None] * 0.1 + [0.0, 0.05, 0.1], p)
+        assert table.dtype == float
         assert np.array_equal(table, np.full((5, 3), 0.123))
+        assert decay_rate(2.5, p) == 0.123
 
 
 class TestDigitalAgainstLindblad:

@@ -9,13 +9,13 @@ from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
 from qmemristor.errors import StateError
 from qmemristor.linalg import partial_trace
 from qmemristor.measurement import (ShotConfig, build_trace, current_series,
-                                    exact_expectation, finite_difference,
-                                    sampled_expectation, voltage)
+                                    finite_difference, sampled_expectation,
+                                    voltage)
 from qmemristor.ops import InteractionSpec
 from qmemristor.presets import preset
 from qmemristor.runner import execute
 
-from conftest import random_density_matrix
+from conftest import expectation, random_density_matrix
 
 EXACT = ShotConfig(mode="exact")
 
@@ -34,24 +34,32 @@ def coupled_states(init1, init2, p, grid, spec):
     return run_coupled(init1, init2, p, p, grid, [spec])[0]
 
 
+def first_bloch_columns(rho):
+    """(sx_I, sy_I) at t = 0 of an exact trace that starts in ``rho``."""
+    times = 0.1 * np.arange(5)
+    q = build_trace(np.stack([rho] * 5), [DecayProfile(0.4, 1.0)], times, EXACT).qubits[0]
+    return q.sx_i[0], q.sy_i[0]
+
+
 class TestExactExpectation:
     def test_maximally_mixed(self):
         mixed = np.eye(2, dtype=complex) / 2
-        for axis in "xyz":
-            assert exact_expectation(mixed, axis) == pytest.approx(0.0, abs=1e-14)
+        for value in first_bloch_columns(mixed):
+            assert value == pytest.approx(0.0, abs=1e-14)
 
     def test_excited_state_z(self):
+        # the excited state's Bloch vector is +z: no transverse component
         excited = np.diag([1.0, 0.0]).astype(complex)
-        assert exact_expectation(excited, "z") == pytest.approx(1.0)
+        assert first_bloch_columns(excited) == (0.0, 0.0)
 
     def test_transverse_components_of_pure_state(self):
         # phase convention: sin(a)e^{ib} multiplies |g>, giving
         # <sigma_x> = sin(2a)cos(b) and <sigma_y> = +sin(2a)sin(b); the sign
         # is pinned by agreement with the lab-frame master-equation oracle
         init = InitialState(math.pi / 4, math.pi / 5)
-        rho = init.density_matrix()
-        assert exact_expectation(rho, "x") == pytest.approx(math.cos(math.pi / 5), abs=1e-12)
-        assert exact_expectation(rho, "y") == pytest.approx(math.sin(math.pi / 5), abs=1e-12)
+        sx, sy = first_bloch_columns(init.density_matrix())
+        assert sx == pytest.approx(math.cos(math.pi / 5), abs=1e-12)
+        assert sy == pytest.approx(math.sin(math.pi / 5), abs=1e-12)
 
     def test_real_within_tolerance(self, rng):
         for _ in range(100):
@@ -65,46 +73,40 @@ class TestExactExpectation:
 
 class TestSampledExpectation:
     def test_certain_outcome(self):
-        excited = np.diag([1.0, 0.0]).astype(complex)
-        # <sigma_z>=1 means p=1; use a state with <sigma_x>=1 instead
-        plus = np.full((2, 2), 0.5, dtype=complex)
+        # <sigma_x> = 1 means p = 1; <sigma_x> = 0 means p = 1/2
         for seed in (0, 1, 12345):
-            assert sampled_expectation(plus, "x", sampled(seed)) == 1.0
-        assert sampled_expectation(excited, "x", sampled(7)) != 1.0  # p = 1/2
+            assert sampled_expectation(1.0, "x", sampled(seed)) == 1.0
+        assert sampled_expectation(0.0, "x", sampled(7)) != 1.0
 
     def test_deterministic_repeat(self, rng):
-        rho = random_density_matrix(rng)
+        exact = expectation(random_density_matrix(rng), "y")
         cfg = sampled(99)
-        first = sampled_expectation(rho, "y", cfg, stream=(0, 17))
-        assert sampled_expectation(rho, "y", cfg, stream=(0, 17)) == first
+        first = sampled_expectation(exact, "y", cfg, stream=(0, 17))
+        assert sampled_expectation(exact, "y", cfg, stream=(0, 17)) == first
 
-    def test_streams_are_independent(self, rng):
-        rho = np.eye(2, dtype=complex) / 2
+    def test_streams_are_independent(self):
         cfg = sampled(99)
-        values = {sampled_expectation(rho, "x", cfg, stream=(0, i)) for i in range(20)}
+        values = {sampled_expectation(0.0, "x", cfg, stream=(0, i)) for i in range(20)}
         assert len(values) > 1
 
     def test_standard_deviation(self):
-        # <sigma_x> = 0 state: estimator std should be ~1/sqrt(shots)
-        mixed = np.eye(2, dtype=complex) / 2
-        estimates = [sampled_expectation(mixed, "x", sampled(seed)) for seed in range(200)]
+        # <sigma_x> = 0: estimator std should be ~1/sqrt(shots)
+        estimates = [sampled_expectation(0.0, "x", sampled(seed)) for seed in range(200)]
         std = np.std(estimates)
         target = 1.0 / math.sqrt(5000)
         assert abs(std - target) <= 0.2 * target
 
     def test_unbiased(self):
         # the mean of 10^4 seeded estimates sits within 3 standard errors
-        init = InitialState(0.9, 0.3)
-        rho = init.density_matrix()
-        exact = exact_expectation(rho, "x")
-        mean = np.mean([sampled_expectation(rho, "x", sampled(seed))
+        exact = expectation(InitialState(0.9, 0.3).density_matrix(), "x")
+        mean = np.mean([sampled_expectation(exact, "x", sampled(seed))
                         for seed in range(10_000)])
         sigma = math.sqrt((1 - exact ** 2) / 5000)
         assert abs(mean - exact) <= 3 * sigma / 100
 
-    def test_requires_sampled_mode(self, rng):
+    def test_requires_sampled_mode(self):
         with pytest.raises(ValueError):
-            sampled_expectation(random_density_matrix(rng), "x", EXACT)
+            sampled_expectation(0.3, "x", EXACT)
 
 
 class TestVoltage:
@@ -180,11 +182,11 @@ class TestFiniteDifference:
             errs.append(np.abs(d - np.cos(t)).max())
         assert errs[0] / errs[1] > 12.0
 
-    def test_three_point_fallback(self):
-        t = np.linspace(0, 1, 4)
-        y = t ** 2
-        d = finite_difference(y, t[1] - t[0])
-        assert np.allclose(d, 2 * t, atol=1e-12)
+    def test_five_samples_is_the_minimum(self):
+        t = np.linspace(0, 1, 5)
+        assert np.allclose(finite_difference(t ** 2, t[1] - t[0]), 2 * t, atol=1e-12)
+        with pytest.raises(ValueError, match="at least 5"):
+            finite_difference(t[:4] ** 2, t[1] - t[0])
 
 
 class TestBuildTrace:
@@ -252,7 +254,7 @@ class TestBuildTrace:
         trace = build_trace(states, [p] * len(reduced), grid.times(1.0), EXACT)
         for series, rhos in zip(trace.qubits, reduced):
             for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
-                expected = np.array([exact_expectation(r, axis) for r in rhos])
+                expected = np.array([expectation(r, axis) for r in rhos])
                 assert column.tobytes() == expected.tobytes()
 
     def test_sampled_columns_use_one_stream_per_point(self):
@@ -264,7 +266,8 @@ class TestBuildTrace:
         trace = build_trace(states, [p, p], grid.times(1.0), cfg)
         for q, series in enumerate(trace.qubits):
             for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
-                expected = [sampled_expectation(partial_trace(s, q + 1), axis, cfg, (q, i))
+                expected = [sampled_expectation(expectation(partial_trace(s, q + 1), axis),
+                                                axis, cfg, (q, i))
                             for i, s in enumerate(states)]
                 assert np.array_equal(column, expected)
 
@@ -296,3 +299,9 @@ class TestShotConfigValidation:
     def test_seed_range(self):
         with pytest.raises(ValueError):
             ShotConfig(mode="sampled", seed=-1)
+
+    def test_shots_ceiling(self):
+        # the binomial draw takes a signed 64-bit count
+        assert ShotConfig(mode="sampled", shots=2 ** 63 - 1).shots == 2 ** 63 - 1
+        with pytest.raises(ValueError, match="shots"):
+            ShotConfig(mode="sampled", shots=2 ** 63)

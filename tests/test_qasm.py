@@ -13,9 +13,10 @@ from qmemristor.config import RunConfig
 from qmemristor.dynamics import run_coupled, run_single, theta_schedule
 from qmemristor.errors import ConfigError
 from qmemristor.linalg import partial_trace
-from qmemristor.measurement import exact_expectation
 from qmemristor.presets import preset
 from qmemristor.qasm import export_circuit
+
+from conftest import expectation
 
 SINGLE_SMALL = RunConfig(name="tiny", mode="single", a1=math.pi / 4, b1=math.pi / 5,
                          gamma0_1=0.4, periods=1, steps_per_period=8)
@@ -123,10 +124,10 @@ def simulated_bloch(config, axis):
     parts = config.validate()
     if config.mode == "single":
         final = run_single(parts.init1, parts.profile1, parts.grid)[-1].rho
-        return [exact_expectation(final, axis)]
+        return [expectation(final, axis)]
     final = run_coupled(parts.init1, parts.init2, parts.profile1, parts.profile2,
                         parts.grid, [parts.interaction])[0, -1]
-    return [exact_expectation(partial_trace(final, q + 1), axis) for q in (0, 1)]
+    return [expectation(partial_trace(final, q + 1), axis) for q in (0, 1)]
 
 
 class TestStructure:

@@ -2,7 +2,9 @@
 
 An accepted config must round-trip losslessly through its text form, and a
 run of it must either return finite loop metrics or fail fast with one of the
-documented errors: ConfigError (exit 2) or NumericsError (exit 3).
+documented errors: ConfigError (exit 2) or NumericsError (exit 3). A
+`delta_scan` holds its deltas and pinch tolerance to the config layer's type
+rule.
 """
 
 import math
@@ -18,7 +20,7 @@ from qmemristor.config import (MODES, NORMALIZATIONS, RunConfig,
                                apply_overrides, config_from_text)
 from qmemristor.errors import ConfigError, IntegrationError, NumericsError
 from qmemristor.presets import preset
-from qmemristor.runner import execute
+from qmemristor.runner import DEFAULT_SCAN_DELTAS, delta_scan, execute
 
 from conftest import deadline
 
@@ -46,7 +48,8 @@ def run_configs(name=st.just("prop")):
         axis=st.sampled_from("xyz"),
         delta=finite,
         shots_mode=st.sampled_from(("exact", "sampled")),
-        shots=st.integers(1, 2 ** 63 - 1),
+        # past 2**63, the end of the binomial draw's signed 64-bit count
+        shots=st.integers(1, 2 ** 64),
         seed=st.integers(0, 2 ** 64 - 1),
         plot_normalization=st.sampled_from(NORMALIZATIONS),
     )
@@ -134,8 +137,43 @@ class TestAcceptedConfigsRunOrFailFast:
 
     @pytest.mark.xfail(strict=True, raises=IntegrationError,
                        reason="the decay quadrature's absolute tolerance sits below the rounding "
-                              "noise of a fast rate; ROADMAP item 2, the closed-form decay "
+                              "noise of a fast rate; ROADMAP item 3, the closed-form decay "
                               "integral, removes it")
     def test_fast_valid_decay_runs(self):
         result = execute(RunConfig(a1=0.5, gamma0_1=1e4, periods=1, steps_per_period=8))
         assert np.isfinite([m.form_factor for m in result.metrics[0]]).all()
+
+
+# what a caller may pass as a delta or a pinch tolerance: real numbers of
+# every size, numpy floats, and values of the wrong type
+scan_values = (st.floats() | st.integers(-3, 3) | st.builds(np.float64, st.floats(-2, 2))
+               | st.booleans() | st.none() | st.text(max_size=4))
+
+
+def is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class TestDeltaScanInputs:
+    BASE = apply_overrides(preset("fig9"), periods=1, steps_per_period=8)
+
+    @given(deltas=st.lists(scan_values, max_size=3),
+           pinch_tol=st.floats(0.0, 0.1) | scan_values)
+    @settings(max_examples=100, deadline=None)
+    def test_rows_or_config_error(self, deltas, pinch_tol):
+        typed = is_real(pinch_tol) and all(is_real(d) for d in deltas)
+        valid = typed and 0.0 <= pinch_tol < math.inf and all(map(math.isfinite, deltas))
+        with deadline(2.0):
+            try:
+                rows = delta_scan(self.BASE, deltas, pinch_tol=pinch_tol)
+            except ConfigError:
+                assert not valid
+                return
+            except NumericsError:
+                assert valid
+                return
+        assert valid
+        assert [r.delta for r in rows] == [float(d) for d in deltas]
+
+    def test_default_deltas_are_plain_floats(self):
+        assert [type(d) for d in DEFAULT_SCAN_DELTAS] == [float] * 10

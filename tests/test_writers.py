@@ -162,13 +162,15 @@ class TestBatchedScanEqualsPerDeltaRuns:
 
 
 class TestInvalidScanDelta:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    # a delta takes the config layer's type rule: no string, bool or None is
+    # turned into a number or dropped in favour of the base delta
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.2", True, None])
     def test_rejected_before_any_stepping_or_write(self, tmp_path, monkeypatch, bad):
         steps = []
         monkeypatch.setattr(dynamics, "run_coupled",
                             lambda *args: steps.append(args))
         out = tmp_path / "scan"
-        with pytest.raises(ConfigError, match="delta must be finite"):
+        with pytest.raises(ConfigError, match="delta must be (finite|a real number)"):
             runner.delta_scan(preset("fig9"), (0.2, bad), out)
         assert steps == []
         assert not out.exists()
@@ -181,7 +183,7 @@ class TestInvalidScanDelta:
 
 
 class TestInvalidPinchTol:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "0.1", True, None])
     def test_rejected_before_any_stepping_or_write(self, tmp_path, monkeypatch, bad):
         steps = []
         monkeypatch.setattr(dynamics, "run_coupled", lambda *args: steps.append(args))
