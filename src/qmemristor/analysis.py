@@ -56,48 +56,36 @@ ORIGIN_CROSSING_FRACTION = 0.05
 
 
 def _shoelace(points: np.ndarray) -> float:
-    x = points[:, 0]
-    y = points[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = np.roll(points, -1, axis=0)
+    return 0.5 * float(np.sum(points[:, 0] * nxt[:, 1] - nxt[:, 0] * points[:, 1]))
 
 
-def _origin_lobes(points: np.ndarray) -> list[np.ndarray]:
+def _origin_lobes(points: np.ndarray, nxt: np.ndarray, extent: float) -> list[np.ndarray]:
     """Cut the cycle into lobes at V sign changes that pass near the origin.
 
     A pinched figure-eight self-crosses at the origin, so only crossings of
-    the V axis within ORIGIN_CROSSING_FRACTION of the loop extent count as
-    cut points; crossings far from the origin belong to an ordinary simple
-    loop and must not be cut (cutting a concave boundary at arbitrary
-    chords does not recompose its area). The interpolated V = 0 point of a
-    qualifying edge joins both adjacent lobes, making a two-cut split exact.
+    the V axis within ORIGIN_CROSSING_FRACTION of the loop ``extent`` (its
+    largest radius) count as cut points; crossings far from the origin
+    belong to an ordinary simple loop and must not be cut (cutting a concave
+    boundary at arbitrary chords does not recompose its area). ``nxt`` is
+    the loop rolled by one point, so edge k runs from points[k] to nxt[k].
+    The interpolated V = 0 point of a qualifying edge joins both adjacent
+    lobes, making a two-cut split exact.
     """
-    v = points[:, 0]
-    extent = float(np.hypot(points[:, 0], points[:, 1]).max())
-    sign = np.where(v >= 0.0, 1, -1)
-    cuts = []
-    for idx in range(len(points)):
-        if sign[idx] == sign[(idx + 1) % len(points)]:
-            continue
-        crossing = _crossing_point(points, idx)
-        if math.hypot(crossing[0], crossing[1]) <= ORIGIN_CROSSING_FRACTION * extent:
-            cuts.append(idx)
-    if len(cuts) < 2:
+    edges = np.flatnonzero((points[:, 0] >= 0.0) != (nxt[:, 0] >= 0.0))
+    p, q = points[edges], nxt[edges]
+    crossings = p + (p[:, 0] / (p[:, 0] - q[:, 0]))[:, None] * (q - p)
+    limit = ORIGIN_CROSSING_FRACTION * extent
+    near = [k for k, (x, y) in enumerate(crossings.tolist()) if math.hypot(x, y) <= limit]
+    if len(near) < 2:
         return [points]
-    lobes = []
-    for a, b in zip(cuts, cuts[1:] + [cuts[0] + len(points)]):
-        chunk = [_crossing_point(points, a)]
-        for offset in range(a + 1, b + 1):
-            chunk.append(points[offset % len(points)])
-        chunk.append(_crossing_point(points, b % len(points)))
-        lobes.append(np.array(chunk))
-    return lobes
-
-
-def _crossing_point(points: np.ndarray, edge_start: int) -> np.ndarray:
-    p = points[edge_start]
-    q = points[(edge_start + 1) % len(points)]
-    frac = p[0] / (p[0] - q[0])
-    return p + frac * (q - p)
+    cuts = edges[near]
+    starts = crossings[near]
+    stops = np.append(cuts[1:], cuts[0] + len(points))
+    ring = np.concatenate([points, points])
+    return [np.concatenate([start[None], ring[a + 1:b + 1], end[None]])
+            for a, b, start, end in zip(cuts.tolist(), stops.tolist(),
+                                        starts, np.roll(starts, -1, axis=0))]
 
 
 def loop_metrics(points) -> LoopMetrics:
@@ -115,15 +103,16 @@ def loop_metrics(points) -> LoopMetrics:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError(f"loop needs at least 3 (V, I) points, got shape {pts.shape}")
-    edges = np.roll(pts, -1, axis=0) - pts
+    nxt = np.roll(pts, -1, axis=0)
+    edges = nxt - pts
     perimeter = float(np.hypot(edges[:, 0], edges[:, 1]).sum())
     if perimeter == 0.0:
         raise NumericsError("degenerate loop with zero perimeter")
-    area = sum(abs(_shoelace(lobe)) for lobe in _origin_lobes(pts))
+    radii = np.hypot(pts[:, 0], pts[:, 1])
+    area = sum(abs(_shoelace(lobe)) for lobe in _origin_lobes(pts, nxt, float(radii.max())))
     form = 4.0 * math.pi * area / perimeter ** 2
-    pinch = float(np.hypot(pts[:, 0], pts[:, 1]).min())
     return LoopMetrics(area=area, perimeter=perimeter, form_factor=form,
-                       pinch_distance=pinch)
+                       pinch_distance=float(radii.min()))
 
 
 _SPIN_FLIP = np.kron(ops.SIGMA_Y, ops.SIGMA_Y)
@@ -157,9 +146,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     # below this floor is unresolvable and belongs to the zero modes
     lams = np.sqrt(np.where(lams < 1e-14, 0.0, lams))
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
-    # min(max(c, 0.0), 1.0), elementwise and keeping NaN
-    c = np.where(0.0 > c, 0.0, c)
-    c = np.where(1.0 < c, 1.0, c)
+    c = np.clip(c, 0.0, 1.0)  # elementwise, and keeps NaN
     return float(c) if rho.ndim == 2 else c
 
 

@@ -137,11 +137,14 @@ def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
     # Richardson term keeps the realized error well under the nominal tol
     if depth <= 0 or err <= tol:
         return left + right + delta / 15.0
-    if not err > _ROUNDING_FLOOR * abs(whole):
-        # a NaN estimate, or rounding noise above tol: refining cannot shrink
-        # it (an infinite half gives NaN one level down)
+    if not math.isfinite(err):
+        # an overflowing rate: an infinite half gives NaN one level down
         raise IntegrationError(
             f"decay integral on [{a}, {b}] cannot reach tolerance {tol:.1e}")
+    if err <= _ROUNDING_FLOOR * abs(whole):
+        # rounding noise above tol: the two estimates agree as far as floats
+        # resolve them, and refining cannot shrink the difference
+        return left + right + delta / 15.0
     return (_adaptive_simpson(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
             + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
 
@@ -151,10 +154,11 @@ def _decay_integral(a: float, b: float, p: DecayProfile) -> float:
 
     The absolute tolerance is QUAD_TOL. Initial panels are capped at a quarter
     period: a periodic integrand sampled at period-commensurate points can
-    fool the refinement estimate. Raises IntegrationError once the error
-    estimate is not finite or is rounding noise above the tolerance, which
-    refinement cannot fix (an overflowing rate, or one so large that the
-    tolerance is below its ulp).
+    fool the refinement estimate. A panel whose error estimate is above the
+    tolerance but within rounding noise of its value is accepted, since
+    refinement cannot shrink it (a rate so large that the tolerance is below
+    its ulp). Raises IntegrationError once the error estimate is not finite
+    (an overflowing rate).
     """
     g0, w, sin, cos = p.gamma0, p.omega, math.sin, math.cos
 

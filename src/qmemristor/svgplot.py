@@ -22,7 +22,6 @@ class Series:
     x: np.ndarray
     y: np.ndarray
     label: str
-    color: str | None = None
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,7 @@ class Marker:
     x: float
     y: float
     color: str
-    label: str = ""
+    label: str
 
 
 def _esc(text: str) -> str:
@@ -74,7 +73,7 @@ def line_plot(series: list[Series], title: str, xlabel: str, ylabel: str,
         parts.append(f'<text x="{_MARGIN - 6}" y="{py(tick):.1f}" font-size="11" '
                      f'text-anchor="end">{label}</text>')
     for idx, s in enumerate(series):
-        color = s.color or _COLORS[idx % len(_COLORS)]
+        color = _COLORS[idx % len(_COLORS)]
         pts = " ".join("%.2f,%.2f" % p for p in zip(px(np.asarray(s.x, float)).tolist(),
                                                      py(np.asarray(s.y, float)).tolist()))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
@@ -84,9 +83,8 @@ def line_plot(series: list[Series], title: str, xlabel: str, ylabel: str,
     for m in markers:
         parts.append(f'<circle cx="{px(m.x):.1f}" cy="{py(m.y):.1f}" r="4" '
                      f'fill="{m.color}" stroke="black" stroke-width="0.5"/>')
-        if m.label:
-            parts.append(f'<text x="{px(m.x) + 7:.1f}" y="{py(m.y) - 5:.1f}" '
-                         f'font-size="10">{_esc(m.label)}</text>')
+        parts.append(f'<text x="{px(m.x) + 7:.1f}" y="{py(m.y) - 5:.1f}" '
+                     f'font-size="10">{_esc(m.label)}</text>')
     parts.append(f'<text x="{_WIDTH / 2}" y="{_MARGIN - 14}" font-size="14" '
                  f'text-anchor="middle">{_esc(title)}</text>')
     parts.append(f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" font-size="12" '

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD, concurrence,
+from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD,
+                                 ORIGIN_CROSSING_FRACTION, LoopMetrics,
+                                 _origin_lobes, concurrence,
                                  entanglement_events, loop_metrics,
                                  split_loops)
 from qmemristor.dynamics import TimeGrid
@@ -69,6 +72,121 @@ def monte_carlo_area(points, rng, samples=200_000):
             x_at = a_x + (pts[:, 1] - a_y) * (b_x - a_x) / (b_y - a_y)
         inside ^= crosses & (pts[:, 0] < x_at)
     return box_area * inside.mean()
+
+
+def reference_crossing_point(points, edge_start):
+    p = points[edge_start]
+    q = points[(edge_start + 1) % len(points)]
+    frac = p[0] / (p[0] - q[0])
+    return p + frac * (q - p)
+
+
+def reference_origin_lobes(points):
+    """The lobe cutter written edge by edge and point by point: the reference
+    that the array form in `analysis._origin_lobes` must match bit for bit."""
+    v = points[:, 0]
+    extent = float(np.hypot(points[:, 0], points[:, 1]).max())
+    sign = np.where(v >= 0.0, 1, -1)
+    cuts = []
+    for idx in range(len(points)):
+        if sign[idx] == sign[(idx + 1) % len(points)]:
+            continue
+        crossing = reference_crossing_point(points, idx)
+        if math.hypot(crossing[0], crossing[1]) <= ORIGIN_CROSSING_FRACTION * extent:
+            cuts.append(idx)
+    if len(cuts) < 2:
+        return [points]
+    lobes = []
+    for a, b in zip(cuts, cuts[1:] + [cuts[0] + len(points)]):
+        chunk = [reference_crossing_point(points, a)]
+        for offset in range(a + 1, b + 1):
+            chunk.append(points[offset % len(points)])
+        chunk.append(reference_crossing_point(points, b % len(points)))
+        lobes.append(np.array(chunk))
+    return lobes
+
+
+def reference_loop_metrics(points):
+    """Loop metrics from the reference lobes, each shoelace rolling x and y
+    apart and each radius taken twice, as the per-edge cutter was used."""
+    def shoelace(lobe):
+        x, y = lobe[:, 0], lobe[:, 1]
+        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+    edges = np.roll(points, -1, axis=0) - points
+    perimeter = float(np.hypot(edges[:, 0], edges[:, 1]).sum())
+    area = sum(abs(shoelace(lobe)) for lobe in reference_origin_lobes(points))
+    return LoopMetrics(area=area, perimeter=perimeter,
+                       form_factor=4.0 * math.pi * area / perimeter ** 2,
+                       pinch_distance=float(np.hypot(points[:, 0], points[:, 1]).min()))
+
+
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def figure_eights(draw):
+    """Pinched loops I = V * (cos t + lag), jittered: the memristor's shape."""
+    n = draw(st.integers(8, 80))
+    t = np.linspace(0.0, 2 * math.pi, n, endpoint=False) + draw(st.floats(0, 2 * math.pi))
+    v = np.sin(t)
+    pts = np.column_stack([v, v * (np.cos(t) + draw(st.floats(-1.5, 1.5)))])
+    jitter = draw(st.floats(0.0, 0.1))
+    return pts + jitter * np.random.default_rng(draw(seeds)).normal(size=pts.shape)
+
+
+@st.composite
+def noisy_polygons(draw):
+    """Star polygons anywhere around the origin, with vertex noise that can
+    make them self-cross."""
+    rng = np.random.default_rng(draw(seeds))
+    pts = star_polygon(rng, draw(st.integers(3, 40)), center=rng.uniform(-1.5, 1.5, size=2))
+    return pts + draw(st.floats(0.0, 0.5)) * rng.normal(size=pts.shape)
+
+
+@st.composite
+def zeroed_vertices(draw):
+    """A drawn loop with some vertices moved onto V = +0.0 or V = -0.0."""
+    pts = draw(figure_eights() | noisy_polygons()).copy()
+    for idx in draw(st.lists(st.integers(0, len(pts) - 1), min_size=1, max_size=4)):
+        pts[idx, 0] = draw(st.sampled_from([0.0, -0.0]))
+    return pts
+
+
+@st.composite
+def crossings_at_the_cut_radius(draw):
+    """Two V-axis crossings, one at distance 0.05 * extent, give or take an ulp.
+
+    The edge (-d, c) -> (d, c) crosses V = 0 at exactly (0, c), and (R, 0)
+    is the farthest vertex, so the extent is exactly R.
+    """
+    r = draw(st.floats(0.5, 4.0))
+    limit = ORIGIN_CROSSING_FRACTION * r
+    c = draw(st.sampled_from([np.nextafter(limit, 0.0), limit, np.nextafter(limit, 1.0)]))
+    d, e = draw(st.floats(0.01, 0.5)) * r, draw(st.floats(0.01, 0.5)) * r
+    low = draw(st.floats(0.0, 0.1)) * r
+    pts = np.array([(-d, c), (d, c), (r, 0.0), (e, -low), (-e, -low), (-0.5 * r, 0.0)])
+    return pts[::-1].copy() if draw(st.booleans()) else pts
+
+
+def bits(metrics):
+    return np.array(dataclasses.astuple(metrics)).tobytes()
+
+
+class TestOriginLobesMatchReference:
+    @given(loop=figure_eights() | noisy_polygons() | zeroed_vertices()
+           | crossings_at_the_cut_radius(),
+           scale=st.sampled_from([1.0, 1e-3, 1e3]))
+    @settings(max_examples=400, deadline=None)
+    def test_lobes_and_metrics_bit_for_bit(self, loop, scale):
+        loop = loop * scale
+        extent = float(np.hypot(loop[:, 0], loop[:, 1]).max())
+        lobes = _origin_lobes(loop, np.roll(loop, -1, axis=0), extent)
+        expected = reference_origin_lobes(loop)
+        assert [lobe.shape for lobe in lobes] == [lobe.shape for lobe in expected]
+        # byte equality: same values and the same sign bits on zeros
+        assert [lobe.tobytes() for lobe in lobes] == [lobe.tobytes() for lobe in expected]
+        assert bits(loop_metrics(loop)) == bits(reference_loop_metrics(loop))
 
 
 class TestSplitLoops:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qmemristor import ops
 from qmemristor.config import (MODES, NORMALIZATIONS, RunConfig,
                                apply_overrides, config_from_text)
-from qmemristor.errors import ConfigError, IntegrationError, NumericsError
+from qmemristor.errors import ConfigError, NumericsError
 from qmemristor.presets import preset
 from qmemristor.runner import DEFAULT_SCAN_DELTAS, delta_scan, execute
 
@@ -135,13 +135,13 @@ class TestAcceptedConfigsRunOrFailFast:
         result = execute(RunConfig(a1=math.pi / 4, omega=1e200))
         assert np.isfinite([m.form_factor for m in result.metrics[0]]).all()
 
-    @pytest.mark.xfail(strict=True, raises=IntegrationError,
-                       reason="the decay quadrature's absolute tolerance sits below the rounding "
-                              "noise of a fast rate; ROADMAP item 3, the closed-form decay "
-                              "integral, removes it")
-    def test_fast_valid_decay_runs(self):
-        result = execute(RunConfig(a1=0.5, gamma0_1=1e4, periods=1, steps_per_period=8))
-        assert np.isfinite([m.form_factor for m in result.metrics[0]]).all()
+    @pytest.mark.parametrize("gamma0", [1e4, 1e5, 1e8])
+    def test_fast_valid_decay_runs(self, gamma0):
+        # the quadrature's absolute tolerance sits below the rounding noise of
+        # such a rate; panels within that noise are accepted, not an error
+        result = execute(RunConfig(a1=0.5, gamma0_1=gamma0, periods=1, steps_per_period=8))
+        assert np.isfinite([[m.area, m.perimeter, m.form_factor, m.pinch_distance]
+                            for m in result.metrics[0]]).all()
 
 
 # what a caller may pass as a delta or a pinch tolerance: real numbers of
