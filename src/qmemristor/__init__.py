@@ -12,9 +12,9 @@ from .errors import (ConfigError, DimensionError, IntegrationError,
 from .measurement import (ObservableTrace, QubitSeries, ShotConfig,
                           build_trace, current_series, sampled_expectation,
                           voltage)
-from .ops import (InteractionSpec, KrausPair, apply_channel,
-                  apply_interaction, collision_step, damping_kraus,
-                  frame_to_schroedinger, interaction_unitary)
+from .ops import (InteractionSpec, apply_channel, apply_interaction,
+                  collision_step, damping_kraus, frame_to_schroedinger,
+                  interaction_unitary)
 from .presets import PRESET_NAMES, preset
 from .qasm import export_circuit
 from .runner import RunResult, delta_scan, execute, run

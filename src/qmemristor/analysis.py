@@ -98,11 +98,13 @@ def loop_metrics(points) -> LoopMetrics:
     a plain signed shoelace would cancel the two halves of the figure-eight.
     The form factor 4*pi*area/perimeter^2 is 1 for a circle. A loop of zero
     perimeter (V = I = 0 throughout, as for a state with no transverse Bloch
-    component) raises NumericsError.
+    component) raises NumericsError, and a NaN or infinite point ValueError.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
         raise ValueError(f"loop needs at least 3 (V, I) points, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("loop points must be finite")
     nxt = np.roll(pts, -1, axis=0)
     edges = nxt - pts
     perimeter = float(np.hypot(edges[:, 0], edges[:, 1]).sum())

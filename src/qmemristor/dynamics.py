@@ -217,8 +217,8 @@ def run_coupled(init1: InitialState, init2: InitialState,
                 specs) -> np.ndarray:
     """Digital trajectories of two coupled memristors, one per coupling spec.
 
-    Each step damps both qubits independently (Kraus pairs extended by the
-    identity on the partner, four cross terms) and then conjugates each
+    Each step damps both qubits independently (the Kronecker products of
+    the two qubits' Kraus operators, four terms) and then conjugates each
     trajectory by its own coupling gate A as A^dag rho A, with A built once
     per spec. Everything but the gate is shared: one kappa schedule per
     distinct profile and one Kraus stack step all trajectories together.
@@ -244,7 +244,7 @@ def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, gates: np.ndarray | None,
     ``rho0`` has shape (n_b, d, d). Row i of ``kappa_rows`` holds each
     qubit's kappa for step i; the Kraus operators of every step come from one
     ``ops.damping_kraus`` call per qubit (for two qubits, the four Kronecker
-    products of the pairs) and are shared by the whole stack. A step sums
+    products of the two stacks) and are shared by the whole stack. A step sums
     op rho op^dag over them from the first term on, then conjugates state b
     as gates[b] rho gates[b]^dag if ``gates`` (n_b, d, d) is given. Returns
     the states as one read-only (n_b, n_steps+1, d, d) array. Each
@@ -277,19 +277,13 @@ def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, gates: np.ndarray | None,
 def _step_kraus(kappa_rows: np.ndarray) -> np.ndarray:
     """Kraus operators of every step, shape (n_steps, 2, 2, 2) for one qubit
     and (n_steps, 4, 4, 4) for two, in the order e0, e1 (x) e0, e1."""
-    pairs = [ops.damping_kraus(kappa_rows[:, q]) for q in range(kappa_rows.shape[1])]
-    kraus = np.stack([pairs[0].e0, pairs[0].e1], axis=1)
-    if len(pairs) == 1:
+    kraus = ops.damping_kraus(kappa_rows[:, 0])
+    if kappa_rows.shape[1] == 1:
         return kraus
-    partner = np.stack([pairs[1].e0, pairs[1].e1], axis=1)
-    return _kron(kraus[:, :, None], partner[:, None, :]).reshape(-1, 4, 4, 4)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron over the last two axes of 2x2 matrices, with leading axes
-    broadcast, as one broadcast multiply (same entries)."""
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(lead + (4, 4))
+    partner = ops.damping_kraus(kappa_rows[:, 1])
+    # np.kron of every term pair as one broadcast multiply (same entries)
+    return (kraus[:, :, None, :, None, :, None]
+            * partner[:, None, :, None, :, None, :]).reshape(-1, 4, 4, 4)
 
 
 def _bessel_j_at_1(n: int) -> float:

@@ -31,9 +31,10 @@ def require_density_matrix(rho: np.ndarray, dim: int | None = None,
     """Validate hermiticity, unit trace and positivity of a state or a stack of them.
 
     Tolerances: hermiticity 1e-12 (max entry deviation), trace 1e-10,
-    eigenvalues >= -1e-10. A stack of shape (n, d, d) is checked with one
-    batched eigvalsh and raises the error the per-state call would raise for
-    its first bad state, with "step k" (1-based) added to the context.
+    eigenvalues >= -1e-10; a NaN fails each of them. A stack of shape
+    (n, d, d) is checked with one batched eigvalsh and raises the error the
+    per-state call would raise for its first bad state, with "step k"
+    (1-based) added to the context.
     """
     rho = np.asarray(rho, dtype=complex)
     where = f" ({context})" if context else ""
@@ -45,20 +46,21 @@ def require_density_matrix(rho: np.ndarray, dim: int | None = None,
     stack = rho if rho.ndim == 3 else rho[None]
     herm_dev = np.abs(stack - dagger(stack)).max(axis=(1, 2))
     trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    failed = (herm_dev > HERMITICITY_TOL) | (trace_dev > TRACE_TOL)
+    # every tolerance test is written so that NaN fails it
+    failed = ~((herm_dev <= HERMITICITY_TOL) & (trace_dev <= TRACE_TOL))
     cut = int(np.argmax(failed)) if failed.any() else len(stack)
     # state by state, the eigenvalue check never runs past the first state
     # that fails a cheaper check
     lowest = np.linalg.eigvalsh(stack[:cut]).min(axis=1)
-    negative = lowest < EIGENVALUE_FLOOR
+    negative = ~(lowest >= EIGENVALUE_FLOOR)
     first = int(np.argmax(negative)) if negative.any() else cut
     if first == len(stack):
         return rho
     if rho.ndim == 3:
         where = f" ({context}, step {first + 1})" if context else f" (step {first + 1})"
-    if herm_dev[first] > HERMITICITY_TOL:
+    if not herm_dev[first] <= HERMITICITY_TOL:
         raise StateError(f"state not Hermitian: max deviation {herm_dev[first]:.3e}{where}")
-    if trace_dev[first] > TRACE_TOL:
+    if not trace_dev[first] <= TRACE_TOL:
         raise StateError(f"state trace deviates from 1 by {trace_dev[first]:.3e}{where}")
     raise StateError(f"state has eigenvalue {lowest[first]:.3e} below floor{where}")
 

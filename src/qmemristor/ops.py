@@ -1,7 +1,7 @@
 """Gate and channel catalog.
 
-Pauli operators, single-qubit rotations, the amplitude-damping Kraus pair and
-its collision-circuit realization, two-qubit coupling unitaries, and the
+Pauli operators, single-qubit rotations, the amplitude-damping Kraus operators
+and their collision-circuit realization, two-qubit coupling unitaries, and the
 rotating-frame conversion of transverse Bloch components.
 
 Basis ordering follows :mod:`qmemristor.linalg`: |e> = index 0, |g> = index 1,
@@ -44,45 +44,32 @@ def free_evolution(t: float, omega: float) -> np.ndarray:
     return np.diag([np.exp(-0.5j * omega * t), np.exp(0.5j * omega * t)])
 
 
-@dataclass(frozen=True)
-class KrausPair:
-    """Two-operator Kraus representation of a qubit channel.
-
-    Completeness E0^dag E0 + E1^dag E1 = I is expected to hold to 1e-12.
-    """
-    e0: np.ndarray
-    e1: np.ndarray
-
-    def completeness_defect(self) -> float:
-        total = dagger(self.e0) @ self.e0 + dagger(self.e1) @ self.e1
-        return float(np.abs(total - IDENTITY_2).max())
-
-
-def damping_kraus(kappa) -> KrausPair:
-    """Amplitude-damping Kraus pair for log-amplitude kappa <= 0.
+def damping_kraus(kappa) -> np.ndarray:
+    """Amplitude-damping Kraus operators for log-amplitude kappa <= 0.
 
     E0 = diag(e^kappa, 1) keeps the excited amplitude scaled by e^kappa;
-    E1 moves the lost population to the ground state. An array of kappas
-    gives stacked operators of shape kappa.shape + (2, 2), equal entry for
-    entry to the scalar calls: e^kappa comes from math.exp, because numpy's
-    exp can differ from it in the last bit.
+    E1 moves the lost population to the ground state. Returns one stack of
+    shape kappa.shape + (2, 2, 2): [..., 0, :, :] is E0 and [..., 1, :, :]
+    is E1, and E0^dag E0 + E1^dag E1 = I holds to 1e-12. An array of kappas
+    gives entries equal to the scalar calls': e^kappa comes from math.exp,
+    because numpy's exp can differ from it in the last bit.
     """
     k = np.asarray(kappa, dtype=float)
-    above = k[k > 0]
-    if above.size:
-        raise ValueError(f"kappa must be <= 0, got {above[0]}")
+    bad = k[~(k <= 0)]  # NaN fails k <= 0 as well
+    if bad.size:
+        raise ValueError(f"kappa must be <= 0, got {bad[0]}")
     amp = np.array([math.exp(x) for x in k.ravel().tolist()]).reshape(k.shape)
-    e0 = np.zeros(k.shape + (2, 2), dtype=complex)
-    e0[..., 0, 0] = amp
-    e0[..., 1, 1] = 1.0
-    e1 = np.zeros(k.shape + (2, 2), dtype=complex)
-    e1[..., 1, 0] = np.sqrt(1.0 - amp * amp)
-    return KrausPair(e0, e1)
+    kraus = np.zeros(k.shape + (2, 2, 2), dtype=complex)
+    kraus[..., 0, 0, 0] = amp
+    kraus[..., 0, 1, 1] = 1.0
+    kraus[..., 1, 1, 0] = np.sqrt(1.0 - amp * amp)
+    return kraus
 
 
-def apply_channel(rho: np.ndarray, k: KrausPair) -> np.ndarray:
-    """E0 rho E0^dag + E1 rho E1^dag."""
-    return k.e0 @ rho @ dagger(k.e0) + k.e1 @ rho @ dagger(k.e1)
+def apply_channel(rho: np.ndarray, kraus: np.ndarray) -> np.ndarray:
+    """E0 rho E0^dag + E1 rho E1^dag for a `damping_kraus` stack."""
+    e0, e1 = np.moveaxis(kraus, -3, 0)
+    return e0 @ rho @ dagger(e0) + e1 @ rho @ dagger(e1)
 
 
 def collision_step(rho: np.ndarray, theta: float) -> np.ndarray:

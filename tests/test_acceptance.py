@@ -18,6 +18,7 @@ from qmemristor import (DecayProfile, InitialState, ShotConfig, TimeGrid,
 from qmemristor.analysis import loop_metrics
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import theta_schedule
+from qmemristor.linalg import dagger
 from qmemristor.measurement import finite_difference, sampled_expectation
 from qmemristor.ops import frame_to_schroedinger
 from qmemristor.presets import preset
@@ -144,8 +145,8 @@ def test_criterion_5_channel_correctness():
         theta = rng.uniform(0.0, math.pi / 2 * 0.9999)
         kraus = apply_channel(rho, damping_kraus(math.log(math.cos(theta))))
         worst_equiv = max(worst_equiv, np.abs(collision_step(rho, theta) - kraus).max())
-    worst_complete = max(damping_kraus(k).completeness_defect()
-                         for k in rng.uniform(-10.0, 0.0, size=1000))
+    kraus = damping_kraus(rng.uniform(-10.0, 0.0, size=1000))
+    worst_complete = np.abs((dagger(kraus) @ kraus).sum(axis=-3) - np.eye(2)).max()
     ok = worst_equiv <= 1e-12 and worst_complete <= 1e-12
     report(5, f"channel correctness (collision vs Kraus {worst_equiv:.1e} <= 1e-12 "
               f"on 1000 cases; completeness defect {worst_complete:.1e} <= 1e-12)", ok)

@@ -258,6 +258,12 @@ class TestLoopMetrics:
         with pytest.raises(NumericsError):
             loop_metrics(polygon_loop([(1, 1), (1, 1), (1, 1)]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_point(self, bad):
+        # one such vertex would otherwise make every metric NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            loop_metrics(polygon_loop([(0, 0), (1, 1), (bad, 0.5), (1, -1), (0, 0.2)]))
+
     def test_bowtie_sums_lobes(self):
         # signed shoelace cancels the two triangles; the lobe split keeps both
         loop = polygon_loop([(-1, -1), (-1, 1), (1, -1), (1, 1)])
@@ -364,6 +370,11 @@ class TestConcurrence:
             concurrence(random_density_matrix(rng, 2))
         with pytest.raises(DimensionError):
             concurrence(np.stack([random_density_matrix(rng, 2)] * 3))
+
+    def test_rejects_nan_state(self):
+        # validation, not numpy's eigh (LinAlgError), must reject it
+        with pytest.raises(StateError, match="concurrence input"):
+            concurrence(np.full((4, 4), np.nan))
 
     def test_stack_equals_per_state_calls(self, rng):
         bell = np.zeros(4, dtype=complex)

@@ -498,11 +498,11 @@ def reference_coupled(init1, init2, p1, p2, grid, spec):
     rho = np.kron(init1.density_matrix(), init2.density_matrix())
     states = [TrajectoryState(0.0, rho)]
     for i in range(grid.n_steps):
-        pair1 = damping_kraus(min(k1[i], 0.0))
-        pair2 = damping_kraus(min(k2[i], 0.0))
+        kraus1 = damping_kraus(min(k1[i], 0.0))
+        kraus2 = damping_kraus(min(k2[i], 0.0))
         stepped = np.zeros((4, 4), dtype=complex)
-        for e in (pair1.e0, pair1.e1):
-            for f in (pair2.e0, pair2.e1):
+        for e in kraus1:
+            for f in kraus2:
                 op = np.kron(e, f)
                 stepped += op @ rho @ dagger(op)
         rho = ops.apply_interaction(stepped, spec)

@@ -67,6 +67,16 @@ class TestDensityMatrixValidation:
         with pytest.raises(DimensionError):
             require_density_matrix(random_density_matrix(rng, 2), 4)
 
+    @pytest.mark.parametrize("bad", [
+        np.full((2, 2), np.nan),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.full((3, 4, 4), np.nan),
+    ], ids=["all_nan", "nan_coherence", "nan_stack"])
+    def test_rejects_nan(self, bad):
+        # every `x > tol` comparison is False for NaN
+        with pytest.raises(StateError, match="not Hermitian: max deviation nan"):
+            require_density_matrix(bad)
+
 
 def _bad_state(kind, dim):
     """A state that fails exactly the named check (and every later one may pass)."""

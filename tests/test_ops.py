@@ -26,49 +26,71 @@ ALL_SPECS = [
 ]
 
 
+def completeness_defect(kraus):
+    """Largest entry of |sum_k E_k^dag E_k - I| over a Kraus stack."""
+    return np.abs((dagger(kraus) @ kraus).sum(axis=-3) - IDENTITY_2).max()
+
+
 class TestDampingKraus:
     def test_identity_channel(self):
-        pair = damping_kraus(0.0)
-        assert np.allclose(pair.e0, IDENTITY_2)
-        assert np.allclose(pair.e1, 0.0)
+        kraus = damping_kraus(0.0)
+        assert kraus.shape == (2, 2, 2)
+        assert np.allclose(kraus[0], IDENTITY_2)
+        assert np.allclose(kraus[1], 0.0)
 
     def test_half_population(self):
         # e^{2 kappa} = 1/2
-        pair = damping_kraus(math.log(1 / math.sqrt(2)))
-        assert np.allclose(np.diag(pair.e0), [math.sqrt(0.5), 1.0])
-        assert pair.e1[1, 0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        e0, e1 = damping_kraus(math.log(1 / math.sqrt(2)))
+        assert np.allclose(np.diag(e0), [math.sqrt(0.5), 1.0])
+        assert e1[1, 0] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        # E0 is diagonal and E1 moves |e> (index 0) to |g> (index 1)
+        assert e0[0, 1] == e0[1, 0] == 0.0
+        assert e1[0, 0] == e1[0, 1] == e1[1, 1] == 0.0
 
     def test_completeness_sample(self):
-        assert damping_kraus(-1.2566).completeness_defect() <= 1e-12
+        assert completeness_defect(damping_kraus(-1.2566)) <= 1e-12
 
     def test_completeness_random(self, rng):
-        for kappa in rng.uniform(-10.0, 0.0, size=1000):
-            assert damping_kraus(kappa).completeness_defect() <= 1e-12
+        kappas = rng.uniform(-10.0, 0.0, size=1000)
+        for kappa in kappas:
+            assert completeness_defect(damping_kraus(kappa)) <= 1e-12
+        assert completeness_defect(damping_kraus(kappas)) <= 1e-12
 
     def test_rejects_positive_kappa(self):
         with pytest.raises(ValueError):
             damping_kraus(0.01)
 
+    @pytest.mark.parametrize("kappa", [math.nan, -math.nan], ids=["nan", "minus_nan"])
+    def test_rejects_nan_kappa(self, kappa):
+        # `k > 0` is False for NaN; the operators must not come out NaN
+        with pytest.raises(ValueError, match="kappa must be <= 0, got nan"):
+            damping_kraus(kappa)
+
     def test_array_equals_scalar_calls(self, rng):
         kappas = np.concatenate([rng.uniform(-10.0, 0.0, size=3000),
                                  [0.0, -0.0, -1e-300, -745.0, -800.0]])
-        pair = damping_kraus(kappas)
-        assert pair.e0.shape == pair.e1.shape == (kappas.size, 2, 2)
-        for k, e0, e1 in zip(kappas.tolist(), pair.e0, pair.e1):
-            single = damping_kraus(k)
-            assert e0.tobytes() == single.e0.tobytes()
-            assert e1.tobytes() == single.e1.tobytes()
+        kraus = damping_kraus(kappas)
+        assert kraus.shape == (kappas.size, 2, 2, 2)
+        for k, ops in zip(kappas.tolist(), kraus):
+            assert ops.tobytes() == damping_kraus(k).tobytes()
             # and the formula in Python floats: numpy's exp would differ
             # from math.exp in the last bit for some kappas
             amp = math.exp(k)
-            formula = np.array([[amp, 0.0], [0.0, 1.0]], dtype=complex)
-            assert e0.tobytes() == formula.tobytes()
-            assert e1[1, 0] == math.sqrt(1.0 - amp * amp)
+            formula = np.array([[[amp, 0.0], [0.0, 1.0]],
+                                [[0.0, 0.0], [math.sqrt(1.0 - amp * amp), 0.0]]],
+                               dtype=complex)
+            assert ops.tobytes() == formula.tobytes()
 
     def test_array_rejects_any_positive_entry(self):
         kappas = np.full(10, -0.5)
         kappas[7] = 1e-3
         with pytest.raises(ValueError, match="kappa must be <= 0, got 0.001"):
+            damping_kraus(kappas)
+
+    def test_array_rejects_any_nan_entry(self):
+        kappas = np.full(10, -0.5)
+        kappas[7] = np.nan
+        with pytest.raises(ValueError, match="kappa must be <= 0, got nan"):
             damping_kraus(kappas)
 
 
