@@ -1,7 +1,9 @@
 """Time-stepped evolution engine and its two independent oracles.
 
 The digital trajectory applies one amplitude-damping map per grid step, with
-the log-amplitude kappa obtained by adaptive quadrature of the decay rate.
+the log-amplitude kappa obtained by adaptive quadrature of the decay rate: one
+array adaptive Simpson whose panels refine together, one level per pass, so a
+whole schedule's steps are integrated in one call.
 `analytic_oracle` evaluates the closed-form interaction-picture solution, with
 kappa(0, t) summed from the Jacobi-Anger series of the rate (Abramowitz &
 Stegun 9.1.42-9.1.45); `lindblad_oracle` integrates the lab-frame master
@@ -120,33 +122,65 @@ def decay_rate(t: float | np.ndarray, p: DecayProfile) -> float | np.ndarray:
     return p.gamma0 * (1.0 - np.sin(np.cos(p.omega * t)))
 
 
-def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
-    return h / 6.0 * (fa + 4.0 * fm + fb)
+def _simpson(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Simpson's rule on panels whose rows 0, 1, 2 hold the start, the
+    midpoint and the end (times ``t``, rates ``f``)."""
+    return (t[2] - t[0]) / 6.0 * (f[0] + 4.0 * f[1] + f[2])
 
 
-def _adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    delta = left + right - whole
-    err = abs(delta)
-    # strict acceptance (|delta| <= tol rather than 15*tol) plus the
-    # Richardson term keeps the realized error well under the nominal tol
-    if depth <= 0 or err <= tol:
-        return left + right + delta / 15.0
-    if not math.isfinite(err):
-        # an overflowing rate: an infinite half gives NaN one level down
-        raise IntegrationError(
-            f"decay integral on [{a}, {b}] cannot reach tolerance {tol:.1e}")
-    if err <= _ROUNDING_FLOOR * abs(whole):
-        # rounding noise above tol: the two estimates agree as far as floats
-        # resolve them, and refining cannot shrink the difference
-        return left + right + delta / 15.0
-    return (_adaptive_simpson(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-            + _adaptive_simpson(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
+def _panel_integrals(a: np.ndarray, b: np.ndarray, p: DecayProfile,
+                     tol: float) -> np.ndarray:
+    """Adaptive Simpson integrals of the rate formula over the panels [a_j, b_j].
+
+    All panels refine together, one level per pass. A pass evaluates the
+    rate at every open panel's two new midpoints in one ``decay_rate`` call,
+    then accepts each panel or splits it into halves with half its
+    tolerance. A split panel's value is its left half's plus its right
+    half's, folded from the deepest level up. Raises IntegrationError once
+    an open panel's error estimate is not finite (an overflowing rate).
+    """
+    t = np.stack([a, 0.5 * (a + b), b])
+    levels = []
+    # an overflowing rate must surface as the IntegrationError alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = decay_rate(t, p)
+        whole = _simpson(t, f)
+        for depth in range(48, -1, -1):
+            mids = 0.5 * (t[:-1] + t[1:])
+            f_mids = decay_rate(mids, p)
+            # rows: start, left midpoint, midpoint, right midpoint, end
+            t5 = np.stack([t[0], mids[0], t[1], mids[1], t[2]])
+            f5 = np.stack([f[0], f_mids[0], f[1], f_mids[1], f[2]])
+            left, right = _simpson(t5[:3], f5[:3]), _simpson(t5[2:], f5[2:])
+            delta = left + right - whole
+            err = np.abs(delta)
+            # strict acceptance (|delta| <= tol rather than 15*tol) plus the
+            # Richardson term keeps the realized error well under the nominal tol
+            accepted = (err <= tol) | (depth <= 0)
+            # an overflowing rate: an infinite half gives NaN one level down
+            failed = ~(accepted | np.isfinite(err))
+            if failed.any():
+                j = np.flatnonzero(failed)[0]
+                raise IntegrationError(
+                    f"decay integral on [{float(t[0, j])}, {float(t[2, j])}] "
+                    f"cannot reach tolerance {tol:.1e}")
+            # rounding noise above tol: the two estimates agree as far as
+            # floats resolve them, and refining cannot shrink the difference
+            split = ~(accepted | (err <= _ROUNDING_FLOOR * np.abs(whole)))
+            levels.append((left + right + delta / 15.0, split))
+            if not split.any():
+                break
+            # the left halves of the split panels, then their right halves
+            t = np.concatenate([t5[:3, split], t5[2:, split]], axis=1)
+            f = np.concatenate([f5[:3, split], f5[2:, split]], axis=1)
+            whole = np.concatenate([left[split], right[split]])
+            tol = tol / 2.0
+    values, _ = levels.pop()
+    for parent, split in reversed(levels):
+        half = len(values) // 2
+        parent[split] = values[:half] + values[half:]
+        values = parent
+    return values
 
 
 def _decay_integral(a: float, b: float, p: DecayProfile) -> float:
@@ -154,27 +188,16 @@ def _decay_integral(a: float, b: float, p: DecayProfile) -> float:
 
     The absolute tolerance is QUAD_TOL. Initial panels are capped at a quarter
     period: a periodic integrand sampled at period-commensurate points can
-    fool the refinement estimate. A panel whose error estimate is above the
-    tolerance but within rounding noise of its value is accepted, since
-    refinement cannot shrink it (a rate so large that the tolerance is below
-    its ulp). Raises IntegrationError once the error estimate is not finite
-    (an overflowing rate).
+    fool the refinement estimate. The panels refine together in one
+    `_panel_integrals` call, with QUAD_TOL shared out equally among them,
+    and their values are summed left to right. Raises IntegrationError once
+    a panel's error estimate is not finite (an overflowing rate).
     """
-    g0, w, sin, cos = p.gamma0, p.omega, math.sin, math.cos
-
-    def f(t: float) -> float:
-        return g0 * (1.0 - sin(cos(w * t)))
-
     n_panels = max(1, math.ceil((b - a) / (p.period / 4.0)))
-    # Python floats: numpy scalars would slow the recursion down about twofold
-    edges = np.linspace(a, b, n_panels + 1).tolist()
-    panel_tol = QUAD_TOL / n_panels
+    edges = np.linspace(a, b, n_panels + 1)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = 0.5 * (lo + hi)
-        fa, fm, fb = f(lo), f(m), f(hi)
-        whole = _simpson(fa, fm, fb, hi - lo)
-        total += _adaptive_simpson(f, lo, fa, hi, fb, m, fm, whole, panel_tol, depth=48)
+    for value in _panel_integrals(edges[:-1], edges[1:], p, QUAD_TOL / n_panels).tolist():
+        total += value
     return total
 
 
@@ -194,9 +217,22 @@ def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
 
 
 def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
-    """Per-step kappa(t_i, t_{i+1}) for every step of the grid."""
+    """Per-step kappa(t_i, t_{i+1}) for every step of the grid, equal bit for
+    bit to a `kappa` call per step.
+
+    A step spans at most an eighth of a period, under `_decay_integral`'s
+    quarter-period cap, so each step is one panel and the whole schedule is
+    one `_panel_integrals` call with tolerance QUAD_TOL.
+    """
     times = grid.times(p.omega)
-    return np.array([kappa(times[i], times[i + 1], p) for i in range(grid.n_steps)])
+    steps = np.diff(times)
+    if p.constant_rate is not None:
+        kappas = -0.5 * p.constant_rate * steps
+    else:
+        kappas = -0.5 * _panel_integrals(times[:-1], times[1:], p, QUAD_TOL)
+    # an omega so large that dt rounds to 0.0 gives empty steps, whose kappa is +0.0
+    kappas[steps == 0.0] = 0.0
+    return kappas
 
 
 def theta_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:

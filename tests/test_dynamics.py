@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmemristor import dynamics, ops
@@ -64,9 +65,21 @@ class TestKappa:
             kappa(2.0, 1.0, FIG4_PROFILE)
 
     def test_overflowing_rate_raises(self):
-        # near t = pi the 1e308 rate overflows to inf and the estimate is NaN
-        with deadline(1.0), pytest.raises(IntegrationError):
-            kappa(3.0, 3.2, DecayProfile(1e308, 1.0))
+        # near t = pi the 1e308 rate overflows to inf and the estimate is NaN;
+        # the failure is the error alone, with no numpy warning before it
+        with deadline(1.0), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError,
+                               match=r"^decay integral on \[3\.0, 3\.2\] cannot reach tolerance"):
+                kappa(3.0, 3.2, DecayProfile(1e308, 1.0))
+
+    def test_overflowing_schedule_raises(self):
+        # only the steps near t = pi overflow; the others are finite
+        with deadline(1.0), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError,
+                               match=r"^decay integral on \[\S+, \S+\] cannot reach tolerance"):
+                kappa_schedule(TimeGrid(1, 8), DecayProfile(1e308, 1.0))
 
     def test_rate_above_the_tolerance_ulp_resolves(self):
         # near t = 0 the 1e308 rate is finite but its ulp dwarfs the absolute
@@ -236,6 +249,7 @@ class TestAnalyticOracle:
             raise AssertionError("the analytic oracle reached the quadrature")
         monkeypatch.setattr(dynamics, "kappa", broken)
         monkeypatch.setattr(dynamics, "_decay_integral", broken)
+        monkeypatch.setattr(dynamics, "_panel_integrals", broken)
         # the oscillating part integrates to zero over whole periods
         amp = math.exp(-0.4 * math.pi)
         c, s = math.cos(FIG4_INIT.a), math.sin(FIG4_INIT.a)
@@ -574,3 +588,105 @@ class TestStepperMatchesReferenceLoops:
             alone = run_coupled(init1, init2, p1, p2, grid, [s])[0]
             assert np.array_equal(trajectory, alone)
             assert_stack_identical(trajectory, reference_coupled(init1, init2, p1, p2, grid, s))
+
+
+# The decay integral as it stood while every panel refined on its own, a
+# depth-first recursion over Python floats. The array quadrature performs the
+# same floating-point operations on each panel, so it must reproduce kappa
+# and every kappa schedule bit for bit, sign bits included.
+
+def reference_adaptive_simpson(f, a, fa, b, fb, m, fm, whole, tol, depth):
+    def simpson(fa, fm, fb, h):
+        return h / 6.0 * (fa + 4.0 * fm + fb)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = simpson(fa, flm, fm, m - a)
+    right = simpson(fm, frm, fb, b - m)
+    delta = left + right - whole
+    err = abs(delta)
+    if depth <= 0 or err <= tol:
+        return left + right + delta / 15.0
+    if not math.isfinite(err):
+        raise IntegrationError(
+            f"decay integral on [{a}, {b}] cannot reach tolerance {tol:.1e}")
+    if err <= dynamics._ROUNDING_FLOOR * abs(whole):
+        return left + right + delta / 15.0
+    return (reference_adaptive_simpson(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
+            + reference_adaptive_simpson(f, m, fm, b, fb, rm, frm, right, tol / 2.0,
+                                         depth - 1))
+
+
+def reference_decay_integral(a, b, p):
+    def f(t):
+        return p.gamma0 * (1.0 - math.sin(math.cos(p.omega * t)))
+    n_panels = max(1, math.ceil((b - a) / (p.period / 4.0)))
+    edges = np.linspace(a, b, n_panels + 1).tolist()
+    panel_tol = dynamics.QUAD_TOL / n_panels
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = 0.5 * (lo + hi)
+        fa, fm, fb = f(lo), f(m), f(hi)
+        whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
+        total += reference_adaptive_simpson(f, lo, fa, hi, fb, m, fm, whole, panel_tol,
+                                            depth=48)
+    return total
+
+
+def reference_kappa(t_start, t_end, p):
+    if t_end == t_start:
+        return 0.0
+    if p.constant_rate is not None:
+        return -0.5 * p.constant_rate * (t_end - t_start)
+    return -0.5 * reference_decay_integral(t_start, t_end, p)
+
+
+def reference_kappa_schedule(grid, p):
+    times = grid.times(p.omega)
+    return np.array([reference_kappa(times[i], times[i + 1], p) for i in range(grid.n_steps)])
+
+
+def outcome(fn, *args):
+    """The bytes of fn(*args), or IntegrationError if it raises one."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except IntegrationError:
+        return IntegrationError
+
+
+# gamma0 log-uniform over fifteen decades: from rates whose tolerance is met
+# at once to rates whose tolerance is below the ulp of a panel's value
+log_uniform_gamma0 = st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e)
+quadrature_profiles = st.one_of(
+    st.builds(DecayProfile, log_uniform_gamma0, st.floats(0.1, 10.0)),
+    st.builds(DecayProfile, st.just(1.0), st.floats(0.1, 10.0),
+              st.floats(0.0, 1e3)))
+
+
+class TestQuadratureMatchesReferenceRecursion:
+    @given(p=quadrature_profiles,
+           grid=st.builds(TimeGrid, st.integers(1, 5), st.integers(8, 200)))
+    # the steps near t = pi overflow
+    @example(p=DecayProfile(1e308, 1.0), grid=TimeGrid(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_kappa_schedule(self, p, grid):
+        assert outcome(kappa_schedule, grid, p) == outcome(reference_kappa_schedule, grid, p)
+
+    @given(p=quadrature_profiles, t0=st.floats(0.0, 20.0),
+           quarter_periods=st.floats(0.0, 12.0))
+    @example(p=DecayProfile(0.4, 1.0), t0=0.0, quarter_periods=4.0)
+    # one panel whose Simpson estimate overflows to inf while its halves'
+    # sum stays finite: an infinite error estimate on an infinite value
+    @example(p=DecayProfile(5.25e307, 0.1), t0=55.0, quarter_periods=0.99)
+    @settings(max_examples=60, deadline=None)
+    def test_kappa_over_many_panels(self, p, t0, quarter_periods):
+        t1 = t0 + quarter_periods * p.period / 4.0
+        assert outcome(kappa, t0, t1, p) == outcome(reference_kappa, t0, t1, p)
+
+    def test_empty_steps_are_positive_zero(self):
+        # omega * steps_per_period overflows, so dt and every step are 0.0
+        for p in (DecayProfile(1.0, 1e308), DecayProfile(1.0, 1e308, constant_rate=2.0)):
+            kappas = kappa_schedule(TimeGrid(1, 8), p)
+            assert kappas.tobytes() == reference_kappa_schedule(TimeGrid(1, 8), p).tobytes()
+            assert kappas.tobytes() == np.zeros(8).tobytes()
