@@ -1,9 +1,14 @@
 """Command-line driver.
 
 Verbs: ``run`` (one simulation), ``scan`` (coupling-strength sweep),
-``export-qasm`` (circuit text), ``presets`` (catalog listing). Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 I/O error. Any other
-exception, a bare ValueError included, is a defect and surfaces as a traceback.
+``export-qasm`` (circuit text), ``presets`` (catalog listing). The first three
+are built by one helper: a ``--preset``/``--config`` selection, one flag per
+``_OVERRIDES`` field (``--exact``/``--sampled`` both set ``shots_mode``;
+``scan`` has no ``--delta`` field flag, its ``--delta`` is the list to sweep)
+and ``--out``. Each verb's parser names its handler, which ``main`` calls.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
+error. Any other exception, a bare ValueError included, is a defect and
+surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +24,9 @@ from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, NumericsError
 from .presets import PRESET_NAMES, PRESET_NOTES, preset
 
+# the RunConfig fields that a run-style verb's flags can override
+_OVERRIDES = ("shots", "seed", "steps_per_period", "periods", "delta", "shots_mode")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -26,70 +34,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Digital simulation of dissipative two-level quantum memristors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute one configured simulation")
-    _add_selection(run_p)
-    _add_overrides(run_p)
-    run_p.add_argument("--out", default="out", help="output directory root")
+    _add_run_verb(sub, "run", "execute one configured simulation", _cmd_run)
 
-    scan_p = sub.add_parser("scan", help="sweep the coupling strength of a coupled run")
-    _add_selection(scan_p)
-    _add_overrides(scan_p, with_delta=False)
-    scan_p.add_argument("--out", default="out", help="output directory root")
+    scan_p = _add_run_verb(sub, "scan", "sweep the coupling strength of a coupled run",
+                           _cmd_scan, with_delta=False)
     scan_p.add_argument("--delta", dest="delta_list", default=None,
                         help="comma-separated coupling strengths "
                              "(default: 10 points in [0.1, 1.0])")
     scan_p.add_argument("--pinch-tol", type=float, default=runner.DEFAULT_PINCH_TOL,
                         help="pinch pass/fail threshold on normalized loops")
 
-    qasm_p = sub.add_parser("export-qasm", help="write the run's circuit as OpenQASM 2.0")
-    _add_selection(qasm_p)
-    _add_overrides(qasm_p)
-    qasm_p.add_argument("--out", default="out", help="output directory root")
+    qasm_p = _add_run_verb(sub, "export-qasm", "write the run's circuit as OpenQASM 2.0",
+                           _cmd_export)
     qasm_p.add_argument("--axis", choices=("x", "y"), default="x",
                         help="terminal measurement basis")
     qasm_p.add_argument("--ancilla-cap", type=int, default=qasm.DEFAULT_ANCILLA_CAP,
                         help="largest allowed total ancilla register")
 
-    sub.add_parser("presets", help="list the preset catalog")
+    sub.add_parser("presets", help="list the preset catalog").set_defaults(handler=_cmd_presets)
     return parser
 
 
-def _add_selection(p: argparse.ArgumentParser) -> None:
+def _add_run_verb(sub, name: str, summary: str, handler,
+                  with_delta: bool = True) -> argparse.ArgumentParser:
+    """Add a verb that selects a config, overrides its fields and writes
+    under ``--out``; ``main`` calls ``handler(args)`` for it."""
+    p = sub.add_parser(name, help=summary)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--preset", choices=PRESET_NAMES, help="preset name")
     group.add_argument("--config", help="path to a key-value config file")
-
-
-def _add_overrides(p: argparse.ArgumentParser, with_delta: bool = True) -> None:
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--steps-per-period", type=int, default=None)
-    p.add_argument("--periods", type=int, default=None)
+    p.add_argument("--shots", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--steps-per-period", type=int)
+    p.add_argument("--periods", type=int)
     if with_delta:
-        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--delta", type=float)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true",
+    mode.add_argument("--exact", dest="shots_mode", action="store_const", const="exact",
                       help="exact expectation values (no shot noise)")
-    mode.add_argument("--sampled", action="store_true",
+    mode.add_argument("--sampled", dest="shots_mode", action="store_const", const="sampled",
                       help="finite-shot binomial sampling")
+    p.add_argument("--out", default="out", help="output directory root")
+    p.set_defaults(handler=handler)
+    return p
 
 
 def _select_config(args) -> RunConfig:
     cfg = preset(args.preset) if args.preset else load_config(args.config)
-    shots_mode = None
-    if getattr(args, "exact", False):
-        shots_mode = "exact"
-    elif getattr(args, "sampled", False):
-        shots_mode = "sampled"
-    return apply_overrides(
-        cfg,
-        shots=getattr(args, "shots", None),
-        seed=getattr(args, "seed", None),
-        steps_per_period=getattr(args, "steps_per_period", None),
-        periods=getattr(args, "periods", None),
-        delta=getattr(args, "delta", None),
-        shots_mode=shots_mode,
-    )
+    return apply_overrides(cfg, **{name: getattr(args, name, None) for name in _OVERRIDES})
 
 
 def _cmd_run(args) -> int:
@@ -130,7 +122,7 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(args) -> int:
     width = max(len(name) for name in PRESET_NAMES)
     for name in PRESET_NAMES:
         print(f"{name:<{width}}  {PRESET_NOTES[name]}")
@@ -140,13 +132,7 @@ def _cmd_presets() -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "export-qasm":
-            return _cmd_export(args)
-        return _cmd_presets()
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ import math
 import numbers
 import re
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 from .dynamics import DecayProfile, InitialState, TimeGrid
 from .errors import ConfigError
@@ -48,6 +49,9 @@ class RunConfig:
     def validate(self) -> "RunComponents":
         """Build and return all owning-module objects, or raise ConfigError."""
         _check_types(self)
+        if "\0" in self.name:
+            # the name is an output path part, and no path holds a NUL
+            raise ConfigError(f"invalid configuration {self.name!r}: name has a NUL character")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.plot_normalization not in NORMALIZATIONS:
@@ -103,32 +107,23 @@ class RunComponents:
         return [p for p in (self.profile1, self.profile2) if p is not None]
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_INT_FIELDS = {"periods", "steps_per_period", "shots", "seed"}
-_STR_FIELDS = {"name", "mode", "interaction", "axis", "shots_mode", "plot_normalization"}
 _REAL_TYPES = (float, int, numbers.Real)
-
-
-def _field_kind(name: str) -> tuple[str, tuple[type, ...]]:
-    """What a field takes, and the types that pass. The builtin types come
-    first: isinstance tries them in order, and the numbers ABCs are slow."""
-    if name in _STR_FIELDS:
-        return "a string", (str,)
-    if name in _INT_FIELDS:
-        return "an integer", (int, numbers.Integral)
-    return "a real number", _REAL_TYPES
-
-
-# (field, what it takes, types that pass, None allowed)
-_FIELD_KINDS = tuple((name, *_field_kind(name), "None" in annotation)
-                     for name, annotation in _FIELD_TYPES.items())
+# what each annotation takes, and the types that pass; the builtin types come
+# first: isinstance tries them in order, and the numbers ABCs are slow
+_KINDS = {"str": ("a string", (str,)),
+          "int": ("an integer", (int, numbers.Integral)),
+          "float": ("a real number", _REAL_TYPES)}
+# field -> (what it takes, types that pass, None allowed), read from the
+# annotations, where a trailing "| None" marks an optional field
+_FIELD_KINDS = {f.name: (*_KINDS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
+                for f in fields(RunConfig)}
 
 
 def _check_types(config: RunConfig) -> None:
     """String fields take strings, int fields integers and float fields real
     numbers (an int passes); neither numeric kind takes a bool, and only the
     optional fields (typed ``float | None``) take None."""
-    for name, want, types, optional in _FIELD_KINDS:
+    for name, (want, types, optional) in _FIELD_KINDS.items():
         value = getattr(config, name)
         if value is None and optional:
             continue
@@ -160,7 +155,7 @@ def config_from_text(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = (part.strip() for part in line.partition("="))
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_KINDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
@@ -169,13 +164,9 @@ def config_from_text(text: str) -> RunConfig:
         if not quoted and value.startswith(("'", '"')):
             raise ConfigError(f"line {lineno}: malformed string for {key}: {value!r}")
         value = quoted[1] if quoted else value.split("#", 1)[0].strip()
+        parse = _FIELD_KINDS[key][1][0]  # str, int or float
         try:
-            if key in _STR_FIELDS:
-                values[key] = ast.literal_eval(value) if quoted else value
-            elif key in _INT_FIELDS:
-                values[key] = int(value)
-            else:
-                values[key] = float(value)
+            values[key] = ast.literal_eval(value) if quoted and parse is str else parse(value)
         except (ValueError, SyntaxError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {value!r}") from exc
     if "mode" not in values:
@@ -184,14 +175,17 @@ def config_from_text(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_text(fh.read())
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text, at byte offset {exc.start}") from exc
+    return config_from_text(text)
 
 
 def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
     """Replace selected fields, dropping overrides whose value is None."""
     cleaned = {k: v for k, v in overrides.items() if v is not None}
-    bad = set(cleaned) - set(_FIELD_TYPES)
+    bad = cleaned.keys() - _FIELD_KINDS.keys()
     if bad:
         raise ConfigError(f"unknown config field(s): {sorted(bad)}")
     return replace(config, **cleaned)

@@ -18,7 +18,8 @@ class NumericsError(RuntimeError):
 
 
 class IntegrationError(NumericsError):
-    """ODE integration drifted outside physical bounds."""
+    """An integration failed: the decay-integral quadrature cannot reach its
+    tolerance (the rate overflows), or the RK4 oracle's trace drifted."""
 
 
 class StateError(NumericsError):

@@ -1,9 +1,10 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
-from qmemristor import runner
+from qmemristor import qasm, runner
 from qmemristor.cli import main
 from qmemristor.config import RunConfig
 from qmemristor.errors import NumericsError
@@ -145,6 +146,64 @@ class TestExportVerb:
         assert rc == 2
 
 
+class _Captured(Exception):
+    """Raised by a stubbed verb backend with the arguments it was given."""
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Stub every verb's backend; `seen(argv)` returns the arguments the
+    backend got, the selected RunConfig first."""
+    def capture(*args, **kwargs):
+        raise _Captured(*args)
+    for module, name in ((runner, "run"), (runner, "delta_scan"), (qasm, "export_circuit")):
+        monkeypatch.setattr(module, name, capture)
+
+    def seen(argv):
+        with pytest.raises(_Captured) as info:
+            main(argv)
+        return info.value.args
+    return seen
+
+
+RUN_VERBS = ("run", "scan", "export-qasm")
+# (flags, field, value); fig7 differs from each value, fig4 is sampled
+OVERRIDES = [
+    (["--shots", "7"], "shots", 7),
+    (["--seed", "9"], "seed", 9),
+    (["--steps-per-period", "13"], "steps_per_period", 13),
+    (["--periods", "3"], "periods", 3),
+    (["--delta", "0.25"], "delta", 0.25),
+    (["--exact"], "shots_mode", "exact"),
+    (["--sampled"], "shots_mode", "sampled"),
+]
+# scan's --delta is its comma-separated list, not the delta field
+OVERRIDE_CASES = [pytest.param(verb, flags, field, value, id=f"{verb} {flags[0]}")
+                  for verb in RUN_VERBS for flags, field, value in OVERRIDES
+                  if (verb, field) != ("scan", "delta")]
+
+
+class TestOverrideFlags:
+    @pytest.mark.parametrize("verb, flags, field, value", OVERRIDE_CASES)
+    def test_flag_sets_its_field_alone(self, captured, tmp_path, verb, flags, field, value):
+        base = preset("fig4" if value == "exact" else "fig7")
+        assert getattr(base, field) != value
+        config = captured([verb, "--preset", base.name, *flags, "--out", str(tmp_path)])[0]
+        assert config == replace(base, **{field: value})
+
+    def test_scan_delta_is_the_list_not_the_field(self, captured, tmp_path):
+        config, deltas, _ = captured(["scan", "--preset", "fig7", "--delta", "0.3",
+                                      "--out", str(tmp_path)])
+        assert config == preset("fig7")
+        assert tuple(deltas) == (0.3,)
+
+    @pytest.mark.parametrize("verb", RUN_VERBS)
+    def test_exact_and_sampled_together_exit_2(self, captured, tmp_path, verb):
+        with pytest.raises(SystemExit) as info:
+            main([verb, "--preset", "fig7", "--exact", "--sampled", "--out", str(tmp_path)])
+        assert info.value.code == 2
+
+
 class TestExitCodes:
     def test_bad_config_file(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -164,6 +223,24 @@ class TestExitCodes:
         assert main(["run", "--config", str(old), "--out", str(tmp_path / "out")]) == 2
         assert "unknown key 'control'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"mode = \xff\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "byte offset 7" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb", ["run", "export-qasm"])
+    def test_nul_in_name(self, tmp_path, capsys, verb):
+        # a file system path cannot hold a NUL, and the name is a path part
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(RunConfig(name="a\x00b", a1=0.5).to_text())
+        out = tmp_path / "out"
+        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_field_value(self, tmp_path):
         bad = tmp_path / "bad.cfg"
