@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 import math
 import numbers
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -22,6 +23,9 @@ from .measurement import ShotConfig
 from .ops import InteractionSpec
 
 MODES = ("single", "coupled")
+# characters a run name may not hold: every path separator of the platform
+# (a backslash is an ordinary character on POSIX) and NUL
+_NAME_BANNED = tuple({"/", os.sep, os.altsep, "\0"} - {None})
 NORMALIZATIONS = ("max", "initial")
 
 
@@ -49,9 +53,11 @@ class RunConfig:
     def validate(self) -> "RunComponents":
         """Build and return all owning-module objects, or raise ConfigError."""
         _check_types(self)
-        if "\0" in self.name:
-            # the name is an output path part, and no path holds a NUL
-            raise ConfigError(f"invalid configuration {self.name!r}: name has a NUL character")
+        if self.name in ("", ".", "..") or any(c in self.name for c in _NAME_BANNED):
+            # the name is one path part under the output root: a separator,
+            # '.' or '..' would lead elsewhere, and no path holds a NUL
+            raise ConfigError(f"invalid configuration {self.name!r}: name must be one "
+                              "path component: not empty, '.' or '..', with no '/' or NUL")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.plot_normalization not in NORMALIZATIONS:

@@ -1,8 +1,14 @@
+import contextlib
+import io
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemristor import qasm, runner
 from qmemristor.cli import main
@@ -242,6 +248,17 @@ class TestExitCodes:
         assert "name" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", RUN_VERBS)
+    @pytest.mark.parametrize("name", ["../escaped", "..", ".", "", "a/b"])
+    def test_name_outside_out(self, tmp_path, capsys, verb, name):
+        # the name is one path part under --out; nothing is written anywhere
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(replace(preset("fig7"), name=name, periods=1).to_text())
+        out = tmp_path / "root" / "out"
+        assert main([verb, "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert "name must be one path component" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.rglob("*")] == ["run.cfg"]
+
     def test_invalid_field_value(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("mode = 'single'\na1 = 9.0\ngamma0_1 = 0.1\n")
@@ -299,6 +316,42 @@ class TestExitCodes:
         monkeypatch.setattr(runner, "run", bug)
         with pytest.raises(ValueError, match="a programming error"):
             main(["run", "--preset", "fig4", "--out", str(tmp_path)])
+
+
+# names that lead outside --out or into its root, then names that stay valid:
+# short texts over characters that matter to a path, separators aside
+run_names = st.one_of(
+    st.sampled_from(["", ".", "..", "../escaped", "a/b", "/abs", "a\x00b"]),
+    st.text(alphabet="a.\\- ", min_size=1, max_size=6))
+tiny_configs = st.builds(
+    RunConfig, name=run_names, mode=st.sampled_from(("single", "coupled")),
+    a1=st.floats(0.0, math.pi / 2), gamma0_1=st.sampled_from((0.1, 1e4, 1e308)),
+    a2=st.just(0.5), gamma0_2=st.just(0.1), periods=st.just(1),
+    steps_per_period=st.just(8), interaction=st.sampled_from(("native", "none")),
+    shots_mode=st.sampled_from(("exact", "sampled")), shots=st.integers(1, 50))
+
+
+class TestOutputStaysUnderOut:
+    @given(cfg=tiny_configs, verb=st.sampled_from(RUN_VERBS))
+    @settings(max_examples=80, deadline=None)
+    def test_every_file_lands_under_out(self, cfg, verb):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            cfg_path = root / "run.cfg"
+            cfg_path.write_text(cfg.to_text())
+            out = root / "root" / "out"
+            argv = [verb, "--config", str(cfg_path), "--out", str(out)]
+            if verb == "scan":
+                argv += ["--delta", "0.1"]  # one coupling strength
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            created = [q for q in root.rglob("*") if q != cfg_path]
+            if code == 2:
+                assert created == []
+            assert all(q == out.parent or out in (q, *q.parents) for q in created)
 
 
 class TestPresetsVerb:

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qmemristor import qasm, runner
 from qmemristor.config import (RunConfig, apply_overrides, config_from_text,
                                load_config)
 from qmemristor.errors import ConfigError
@@ -154,6 +156,28 @@ class TestValidation:
         cfg = RunConfig(**{"mode": "single", "a1": math.pi / 4, "periods": 2, **field})
         with pytest.raises(ConfigError, match=next(iter(field))):
             execute(cfg)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "../escaped", "a/b", "/abs", "out/",
+                                      "a\x00b"])
+    def test_name_must_be_one_path_component(self, name):
+        # the run name is a path part under the output root
+        with pytest.raises(ConfigError, match="name must be one path component"):
+            RunConfig(name=name, a1=0.5).validate()
+
+    @pytest.mark.parametrize("write", [
+        lambda cfg, out: runner.run(cfg, out / cfg.name),
+        lambda cfg, out: runner.delta_scan(cfg, (0.1,), out / f"{cfg.name}_scan"),
+        lambda cfg, out: qasm.export_circuit(cfg),
+    ], ids=["run", "delta_scan", "export_circuit"])
+    def test_escaping_name_fails_before_any_write(self, tmp_path, write):
+        cfg = replace(preset("fig7"), name="../escaped", periods=1)
+        with pytest.raises(ConfigError, match="name must be one path component"):
+            write(cfg, tmp_path / "out")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("name", ["back\\slash", "...", ".hidden", "a b", "fig4"])
+    def test_names_that_stay_valid(self, name):
+        RunConfig(name=name, a1=0.5).validate()
 
     def test_numeric_types_that_pass(self):
         cfg = RunConfig(mode="single", a1=1, omega=1, gamma0_1=np.float32(0.25),

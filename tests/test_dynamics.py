@@ -293,13 +293,63 @@ class TestLindbladOracle:
         with pytest.raises(IntegrationError):
             lindblad_oracle(InitialState(0.0, 0.0), p, 10.0, 0.5)
 
+    @pytest.mark.parametrize("rate", [1e4, 1e6])
+    def test_overflowing_gains_raise(self, rate):
+        # the mode gains overflow to inf and the trace is NaN; the failure
+        # is the error alone, with no numpy warning before it
+        p = DecayProfile(1.0, 1.0, constant_rate=rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=r"^trace drifted by nan"):
+                lindblad_oracle(InitialState(0.0, 0.0), p, 100.0, 0.5)
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 0.0)
 
+    @pytest.mark.parametrize("dt_ode", [-1e-3, math.nan, math.inf])
+    def test_rejects_step_that_is_not_positive_and_finite(self, dt_ode):
+        with pytest.raises(ValueError, match="^dt_ode must be positive and finite"):
+            lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, dt_ode)
+
+    @pytest.mark.parametrize("t_end", [-1e-3, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_end_time(self, t_end):
+        with pytest.raises(ValueError, match="^t_end must be nonnegative and finite"):
+            lindblad_oracle(FIG4_INIT, FIG4_PROFILE, t_end, 1e-3)
+
+    @pytest.mark.parametrize("t_end", [0.0, 1e-14])
+    def test_no_step_returns_the_initial_state(self, t_end):
+        rho0 = FIG4_INIT.density_matrix()
+        out = lindblad_oracle(FIG4_INIT, FIG4_PROFILE, t_end, 1e-3)
+        assert np.abs(out - rho0).max() <= 1e-15
+
+    def test_commutation_guard(self, monkeypatch):
+        # a sigma_x Hamiltonian mixes populations and coherences, so it does
+        # not commute with the dissipator
+        _, diss = dynamics._liouvillian_parts(1.0)
+        h = 0.5 * ops.SIGMA_X
+        ham = -1j * (np.kron(h, ops.IDENTITY_2) - np.kron(ops.IDENTITY_2, h.T))
+        assert not np.allclose(ham @ diss, diss @ ham)
+        monkeypatch.setattr(dynamics, "_liouvillian_parts", lambda omega: (ham, diss))
+        with pytest.raises(IntegrationError, match="^Liouvillian parts share no eigenbasis"):
+            lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 1e-3)
+
+    def test_parts_commute_in_one_integer_basis(self):
+        for omega in (1e-300, 0.5, 1.0, 3.0, 1e300):
+            modes, inverse, ham_eig, diss_eig = dynamics._liouvillian_modes(omega)
+            assert np.array_equal(modes @ inverse, np.eye(4))
+            assert sorted(diss_eig.real.tolist()) == [-1.0, -0.5, -0.5, 0.0]
+            assert sorted(ham_eig.imag.tolist()) == [-omega, 0.0, 0.0, omega]
+
+    def test_hamiltonian_that_rounds_to_zero(self):
+        # omega/2 underflows to 0.0, so the Hamiltonian part vanishes
+        p = DecayProfile(0.1, 5e-324)
+        out = lindblad_oracle(FIG4_INIT, p, 1.0, 1e-2)
+        assert np.abs(out - reference_lindblad_oracle(FIG4_INIT, p, 1.0, 1e-2)).max() <= 1e-13
+
     def test_rate_table_matches_decay_rate(self, rng):
-        # the RK4 propagators take their rates from one decay_rate call over
-        # an (n, 3) table of times; each entry is the per-time scalar call
+        # the RK4 oracle takes every step's rates from one decay_rate call
+        # over an (n, 3) table of times; each entry is the per-time scalar call
         h = 0.37
         starts = np.sort(rng.uniform(0.0, 50.0, size=400))
         times = starts[:, None] + [0.0, 0.5 * h, h]
@@ -690,3 +740,78 @@ class TestQuadratureMatchesReferenceRecursion:
             kappas = kappa_schedule(TimeGrid(1, 8), p)
             assert kappas.tobytes() == reference_kappa_schedule(TimeGrid(1, 8), p).tobytes()
             assert kappas.tobytes() == np.zeros(8).tobytes()
+
+
+# The Lindblad oracle as it stood before it stepped each eigenmode as a
+# scalar: every step's 4x4 RK4 propagator built as a stack, then their
+# ordered product. The per-mode oracle does the same arithmetic in another
+# basis and order, so it must agree to rounding.
+
+def reference_rk4_propagator(p, starts, h):
+    """Stacked one-step RK4 propagators for steps [t, t+h], t in ``starts``."""
+    ham, diss = dynamics._liouvillian_parts(p.omega)
+    rate = decay_rate(starts[:, None] + [0.0, 0.5 * h, h], p)
+    l_lo = ham + rate[:, 0, None, None] * diss
+    l_mid = ham + rate[:, 1, None, None] * diss
+    l_hi = ham + rate[:, 2, None, None] * diss
+    ident = np.eye(4, dtype=complex)
+    k1 = l_lo
+    k2 = l_mid @ (ident + 0.5 * h * k1)
+    k3 = l_mid @ (ident + 0.5 * h * k2)
+    k4 = l_hi @ (ident + h * k3)
+    return ident + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_ordered_product(mats):
+    """Product mats[n-1] @ ... @ mats[0] by pairwise reduction."""
+    while mats.shape[0] > 1:
+        if mats.shape[0] % 2:
+            tail = mats[-1]
+            mats = mats[1::2] @ mats[0:-1:2]
+            mats = np.concatenate([mats, tail[None]])
+        else:
+            mats = mats[1::2] @ mats[0::2]
+    return mats[0]
+
+
+def reference_lindblad_oracle(init, p, t_end, dt_ode):
+    v = init.density_matrix().reshape(4)
+    n_full, rem = divmod(t_end, dt_ode)
+    n_full = int(n_full)
+    if n_full:
+        prop = reference_rk4_propagator(p, np.arange(n_full) * dt_ode, dt_ode)
+        v = reference_ordered_product(prop) @ v
+    if rem > 1e-12 * max(1.0, t_end):
+        prop = reference_rk4_propagator(p, np.array([n_full * dt_ode]), float(rem))
+        v = prop[0] @ v
+    return v.reshape(2, 2)
+
+
+class TestLindbladMatchesReferencePropagators:
+    @given(init=initial_states, gamma0=st.floats(0.01, 1.0), omega=st.floats(0.5, 3.0),
+           t_end=st.floats(0.0, 62.8), dt_ode=st.floats(1e-3, 2e-2))
+    # whole steps only (binary-exact times), then the same with a remainder step
+    @example(init=FIG4_INIT, gamma0=0.4, omega=1.0, t_end=2.0, dt_ode=0.0078125)
+    @example(init=FIG4_INIT, gamma0=0.4, omega=1.0, t_end=2.003, dt_ode=0.0078125)
+    @example(init=FIG4_INIT, gamma0=0.4, omega=1.0, t_end=62.8, dt_ode=1e-3)
+    @example(init=FIG4_INIT, gamma0=0.4, omega=1.0, t_end=0.0, dt_ode=1e-3)
+    @settings(max_examples=40, deadline=None)
+    def test_oscillating_rate(self, init, gamma0, omega, t_end, dt_ode):
+        p = DecayProfile(gamma0, omega)
+        out = lindblad_oracle(init, p, t_end, dt_ode)
+        assert np.abs(out - reference_lindblad_oracle(init, p, t_end, dt_ode)).max() <= 1e-13
+
+    # At a constant rate every step matrix is the same, and the reference's
+    # pairwise product rounds each level's equal partial products alike: its
+    # own error grows like n_steps * eps (up to 2.9e-13 against an exact
+    # product of the same factors over 40k-63k zero-rate steps). At most
+    # 2000 steps keep it under the bound.
+    @given(init=initial_states, rate=st.floats(0.0, 2.0), omega=st.floats(0.5, 3.0),
+           t_end=st.floats(0.0, 62.8), dt_ode=st.floats(0.0315, 0.1))
+    @example(init=FIG4_INIT, rate=0.0, omega=1.0, t_end=62.8, dt_ode=0.0315)
+    @example(init=FIG4_INIT, rate=0.0, omega=1.0, t_end=32.0, dt_ode=0.0625)
+    @settings(max_examples=40, deadline=None)
+    def test_constant_rate(self, init, rate, omega, t_end, dt_ode):
+        p = DecayProfile(1.0, omega, constant_rate=rate)
+        out = lindblad_oracle(init, p, t_end, dt_ode)
+        assert np.abs(out - reference_lindblad_oracle(init, p, t_end, dt_ode)).max() <= 1e-13
