@@ -5,7 +5,9 @@ Verbs: ``run`` (one simulation), ``scan`` (coupling-strength sweep),
 are built by one helper: a ``--preset``/``--config`` selection, one flag per
 ``_OVERRIDES`` field (``--exact``/``--sampled`` both set ``shots_mode``;
 ``scan`` has no ``--delta`` field flag, its ``--delta`` is the list to sweep)
-and ``--out``. Each verb's parser names its handler, which ``main`` calls.
+and ``--out``, and ``-v/--log-level`` sends the package's log records at
+that level and above to stderr; without it stderr carries only errors.
+Each verb's parser names its handler, which ``main`` calls.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
 error. Any other exception, a bare ValueError included, is a defect and
 surfaces as a traceback.
@@ -14,6 +16,8 @@ surfaces as a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import logging
 import sys
 from pathlib import Path
 
@@ -75,6 +79,8 @@ def _add_run_verb(sub, name: str, summary: str, handler,
     mode.add_argument("--sampled", dest="shots_mode", action="store_const", const="sampled",
                       help="finite-shot binomial sampling")
     p.add_argument("--out", default="out", help="output directory root")
+    p.add_argument("-v", "--log-level", type=str.lower, choices=("debug", "info", "warning"),
+                   help="print the run's log records at this level and above to stderr")
     p.set_defaults(handler=handler)
     return p
 
@@ -129,19 +135,40 @@ def _cmd_presets(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _log_to_stderr(level: str | None):
+    """Send the package's records at ``level`` and above to stderr while the
+    command runs; ``None`` leaves logging as it is."""
+    if level is None:
+        yield
+        return
+    logger = logging.getLogger("qmemristor")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericsError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
+    with _log_to_stderr(getattr(args, "log_level", None)):
+        try:
+            return args.handler(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except (NumericsError, np.linalg.LinAlgError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

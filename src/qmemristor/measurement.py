@@ -9,12 +9,18 @@ discretization error of the whole pipeline.
 Exact components come from one stacked trace per qubit; shot emulation
 draws a binomial count per (time step, axis) from their outcome
 probability, with an independent, deterministically derived RNG stream per
-point so that serial and parallel evaluation coincide.
+point so that serial and parallel evaluation coincide. Point i of a series
+draws from ``default_rng(SeedSequence([seed, *stream, i, axis]))``; one
+``sampled_expectation`` call derives every point's PCG64 state of a series
+at once, with numpy's SeedSequence hash vectorized over i, and draws them
+from one reused Generator.
 """
 
 from __future__ import annotations
 
+import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,8 +31,20 @@ from .dynamics import DecayProfile, decay_rate
 from .errors import NumericsError, StateError
 from .linalg import partial_trace
 
+log = logging.getLogger(__name__)
+
 _AXIS_INDEX = {"x": 0, "y": 1, "z": 2}
 _TRANSVERSE = np.stack([ops.SIGMA_X, ops.SIGMA_Y])
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64 seeding
+_POOL_SIZE = 4
+_XSHIFT = 16
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -71,24 +89,116 @@ class ObservableTrace:
     concurrence: np.ndarray | None = None
 
 
-def _point_rng(cfg: ShotConfig, stream: tuple[int, ...]) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([cfg.seed, *stream]))
+def _uint32_words(n: int) -> list[int]:
+    """numpy's little-endian uint32 split of one entropy int; 0 gives [0]."""
+    n = operator.index(n)  # a numpy integer becomes an unbounded int
+    if n < 0:
+        raise ValueError(f"entropy must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
 
 
-def sampled_expectation(exact: float, axis: str, cfg: ShotConfig,
-                        stream: tuple[int, ...] = ()) -> float:
+def _entropy_words(head: Sequence[int], index: np.ndarray | None,
+                   tail: int) -> list[int | np.ndarray]:
+    """Assembled SeedSequence entropy of ``[*head, index[j], tail]`` per point j.
+
+    A word that is the same at every point is an int; the index is one
+    uint32 array, and ``index=None`` gives the one point ``[*head, tail]``.
+    Every point must split into the same number of words, so an index of
+    2**32 or more, which numpy splits into two words, raises ValueError.
+    """
+    words = [w for n in head for w in _uint32_words(n)]
+    if index is not None:
+        index = np.asarray(index)
+        if index.size and not 0 <= index.min() <= index.max() < 2 ** 32:
+            raise ValueError("point indices must lie in [0, 2**32) to be one entropy word each")
+        words.append(index.astype(np.uint32))
+    return words + _uint32_words(tail)
+
+
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix: xor the running constant, advance it, multiply."""
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * mult & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+    return hashmix
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word ``x`` with a hashed word ``y``."""
+    result = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _pcg64_states(entropy: Sequence[int | np.ndarray],
+                  n_points: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``default_rng(SeedSequence(words))`` per point.
+
+    ``entropy`` is the word list of ``_entropy_words`` for ``n_points``
+    points. Its words are mixed into a pool of 4 as SeedSequence does,
+    ``generate_state(4, uint64)`` reads the pool out, and PCG64's
+    ``pcg_setseq_128_srandom`` seeds from the four words. Every product is
+    cut to 32 bits, so int words are hashed once for all points and uint32
+    arrays wrap as in C, which the hash is built on; that wrap is not
+    reported as an overflow.
+    """
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    with np.errstate(over="ignore"):
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        output = _hasher(_INIT_B, _MULT_B)
+        words = [output(pool[k % _POOL_SIZE]) for k in range(8)]
+    states = []
+    columns = (w.tolist() if isinstance(w, np.ndarray) else [w] * n_points for w in words)
+    for w in zip(*columns):
+        # generate_state's uint64 words are little-endian pairs of uint32 words
+        seed = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
+        inc = (((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 | 1) & _MASK128
+        states.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def sampled_expectation(exact, axis: str, cfg: ShotConfig,
+                        stream: tuple[int, ...] = ()):
     """Binomial shot estimate of <sigma_axis>, whose exact value is ``exact``.
 
-    ``stream`` identifies the measurement point (qubit, step); together with
-    the axis it selects a reproducible RNG substream of the master seed.
+    A scalar ``exact`` is one point, drawn from the RNG substream
+    ``SeedSequence([seed, *stream, axis])`` and returned as a float. A 1-D
+    ``exact`` is a series whose point i draws from ``[seed, *stream, i,
+    axis]``, returned as an array: the series call with ``stream=(q,)``
+    equals the scalar calls with ``stream=(q, i)`` bit for bit.
     """
     if cfg.mode != "sampled":
         raise ValueError("sampled_expectation requires a sampled-mode ShotConfig")
-    p_up = 0.5 * (1.0 + exact)
-    p_up = min(max(p_up, 0.0), 1.0)
-    rng = _point_rng(cfg, (*stream, _AXIS_INDEX[axis]))
-    k = rng.binomial(cfg.shots, p_up)
-    return 2.0 * k / cfg.shots - 1.0
+    values = np.asarray(exact, dtype=float)
+    if values.ndim > 1:
+        raise ValueError(f"exact must be a scalar or a 1-D series, got shape {values.shape}")
+    index = None if values.ndim == 0 else np.arange(values.size)
+    p_up = np.clip(0.5 * (1.0 + values.reshape(-1)), 0.0, 1.0)
+    states = _pcg64_states(_entropy_words((cfg.seed, *stream), index, _AXIS_INDEX[axis]),
+                           p_up.size)
+    # one Generator for every point: each draw starts from its own state, and
+    # the binomial's cached setup depends only on (shots, p)
+    gen = np.random.Generator(np.random.PCG64(0))
+    counts = []
+    for (state, inc), p in zip(states, p_up.tolist()):
+        gen.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        counts.append(gen.binomial(cfg.shots, p))
+    estimate = 2.0 * np.array(counts, dtype=np.int64) / cfg.shots - 1.0
+    return float(estimate[0]) if index is None else estimate
 
 
 def voltage(sy_s, omega: float):
@@ -137,11 +247,14 @@ def build_trace(states: np.ndarray,
     qubit; for 4x4 states each qubit's Bloch components come from its reduced
     state. The reduced states come from one einsum per qubit, and the exact
     components from one stacked matmul and trace; sampled mode draws each
-    point from its exact value with one ``sampled_expectation`` call. The
-    interaction-picture components are rotated to the lab frame and turned
-    into voltage and current, and the gamma column comes from one
-    ``decay_rate`` call. Raises NumericsError if a voltage or current is not
-    finite (an omega so large that the finite difference overflows).
+    (qubit, axis) series from its exact values with one
+    ``sampled_expectation(exact, axis, shots, (q,))`` call, so point i keeps
+    its own substream ``[seed, q, i, axis]``, and logs at DEBUG how many
+    ``p_up`` values it clipped. The interaction-picture components are
+    rotated to the lab frame and turned into voltage and current, and the
+    gamma column comes from one ``decay_rate`` call. Raises NumericsError if
+    a voltage or current is not finite (an omega so large that the finite
+    difference overflows).
     """
     n_qubits = 1 if states.shape[-1] == 2 else 2
     if len(profiles) != n_qubits:
@@ -156,9 +269,14 @@ def build_trace(states: np.ndarray,
         reduced = states if n_qubits == 1 else partial_trace(states, keep=q + 1)
         bloch = np.trace(_TRANSVERSE[:, None] @ reduced, axis1=2, axis2=3).real
         if shots.mode == "sampled":
-            sx_i, sy_i = (np.array([sampled_expectation(e, axis, shots, (q, i))
-                                    for i, e in enumerate(exact.tolist())])
-                          for axis, exact in zip("xy", bloch))
+            columns = []
+            for axis, exact in zip("xy", bloch):
+                p_up = 0.5 * (1.0 + exact)
+                log.debug("qubit %d axis %s: clipped %d of %d p_up values to [0, 1]",
+                          q + 1, axis, np.count_nonzero((p_up < 0.0) | (p_up > 1.0)),
+                          p_up.size)
+                columns.append(sampled_expectation(exact, axis, shots, (q,)))
+            sx_i, sy_i = columns
         else:
             sx_i, sy_i = bloch.copy()
             _check_bloch_norm(sx_i, sy_i)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import logging
 import math
 import tempfile
 import xml.etree.ElementTree as ET
@@ -352,6 +353,33 @@ class TestOutputStaysUnderOut:
             if code == 2:
                 assert created == []
             assert all(q == out.parent or out in (q, *q.parents) for q in created)
+
+
+class TestLogLevel:
+    RUN = ["run", "--preset", "fig4", "--sampled", "--periods", "2"]
+
+    def test_silent_without_the_flag(self, tmp_path, capsys):
+        assert main(self.RUN + ["--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_debug_shows_sampling_clips_and_analysis(self, tmp_path, capsys):
+        assert main(self.RUN + ["--out", str(tmp_path), "-v", "debug"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert ("DEBUG qmemristor.measurement: qubit 1 axis x: "
+                "clipped 0 of 61 p_up values to [0, 1]") in err
+        assert any(line.startswith("INFO qmemristor.analysis: dropping") for line in err)
+
+    def test_info_hides_debug_and_leaves_no_handler(self, tmp_path, capsys):
+        assert main(self.RUN + ["--out", str(tmp_path), "--log-level", "INFO"]) == 0
+        err = capsys.readouterr().err
+        assert "INFO qmemristor.analysis" in err and "DEBUG" not in err
+        logger = logging.getLogger("qmemristor")
+        assert logger.handlers == [] and logger.level == logging.NOTSET
+
+    def test_unknown_level_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(self.RUN + ["--out", str(tmp_path), "-v", "loud"])
+        assert exc.value.code == 2
 
 
 class TestPresetsVerb:

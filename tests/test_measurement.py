@@ -1,8 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qmemristor import measurement
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  run_coupled, run_single)
@@ -22,6 +26,19 @@ EXACT = ShotConfig(mode="exact")
 
 def sampled(seed, shots=5000):
     return ShotConfig(mode="sampled", shots=shots, seed=seed)
+
+
+def reference_sample(exact, axis, cfg, stream):
+    """One point drawn the way the sampling contract states it: a fresh
+    ``default_rng(SeedSequence([seed, *stream, axis]))`` per point."""
+    p_up = min(max(0.5 * (1.0 + exact), 0.0), 1.0)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, *stream, "xyz".index(axis)]))
+    return 2.0 * rng.binomial(cfg.shots, p_up) / cfg.shots - 1.0
+
+
+# exact values at and just outside the ends of [-1, 1]; the outer ones clip
+EDGE_VALUES = [-1.0, 0.0, 1.0, math.nextafter(1.0, 2.0), -math.nextafter(1.0, 2.0),
+               1.0 + 1e-9, -1.0 - 1e-9]
 
 
 def single_states(init, p, grid):
@@ -107,6 +124,71 @@ class TestSampledExpectation:
     def test_requires_sampled_mode(self):
         with pytest.raises(ValueError):
             sampled_expectation(0.3, "x", EXACT)
+
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError):
+            sampled_expectation(np.zeros((2, 3)), "x", sampled(1))
+
+
+class TestBulkStreams:
+    """The series path derives every point's PCG64 state at once; each point
+    must equal a fresh per-point ``default_rng(SeedSequence(...))`` draw."""
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), shots=st.integers(1, 2 ** 63 - 1),
+           prefix=st.lists(st.integers(0, 2 ** 64 - 1), max_size=3),
+           inner=st.lists(st.floats(-1.0, 1.0), max_size=6),
+           axis=st.sampled_from("xy"))
+    @example(seed=0, shots=1, prefix=[], inner=[], axis="x")
+    @example(seed=2 ** 32 - 1, shots=7, prefix=[1], inner=[0.5], axis="y")
+    @example(seed=2 ** 32, shots=5000, prefix=[0, 2 ** 32], inner=[], axis="x")
+    @example(seed=2 ** 64 - 1, shots=2 ** 63 - 1, prefix=[3, 0, 2 ** 64 - 1], inner=[],
+             axis="y")
+    @settings(max_examples=40, deadline=None)
+    def test_series_matches_per_point_reference(self, seed, shots, prefix, inner, axis):
+        cfg = sampled(seed, shots)
+        exact = np.array(EDGE_VALUES + inner)
+        expected = np.array([reference_sample(e, axis, cfg, (*prefix, i))
+                             for i, e in enumerate(exact.tolist())])
+        series = sampled_expectation(exact, axis, cfg, tuple(prefix))
+        assert series.tobytes() == expected.tobytes()
+        for i, e in enumerate(exact.tolist()):
+            assert sampled_expectation(e, axis, cfg, (*prefix, i)) == series[i]
+
+    def test_empty_series(self):
+        assert sampled_expectation(np.array([]), "x", sampled(3), (0,)).shape == (0,)
+
+    @pytest.mark.parametrize("seed, seed_words", [(0, [0]), (2 ** 32 - 1, [2 ** 32 - 1]),
+                                                  (2 ** 32, [0, 1]),
+                                                  (2 ** 64 - 1, [2 ** 32 - 1] * 2)])
+    def test_entropy_words_split_as_numpy_does(self, seed, seed_words):
+        # numpy splits each int into little-endian uint32 words, 0 into [0]
+        index = np.array([0, 1, 2 ** 31, 2 ** 32 - 1])
+        words = measurement._entropy_words((seed, 0, 2 ** 32 + 5), index, 1)
+        states = measurement._pcg64_states(words, index.size)
+        for j, i in enumerate(index.tolist()):
+            column = [w[j] if isinstance(w, np.ndarray) else w for w in words]
+            assert column == seed_words + [0, 5, 1, i, 1]
+            pcg = np.random.PCG64(np.random.SeedSequence([seed, 0, 2 ** 32 + 5, i, 1]))
+            assert states[j] == (pcg.state["state"]["state"], pcg.state["state"]["inc"])
+
+    def test_wide_point_index_is_rejected(self):
+        # numpy gives an index of 2**32 or more two entropy words, which a
+        # series of one-word indices cannot hold: refuse, never draw another stream
+        for index in ([2 ** 32], [0, 2 ** 32 + 7], [2 ** 64 - 1]):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+                measurement._entropy_words((5, 0), np.array(index, dtype=np.uint64), 0)
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            measurement._entropy_words((5, 0), np.array([-1]), 0)
+
+    def test_numpy_integers_draw_as_ints(self):
+        exact = np.array(EDGE_VALUES)
+        expected = sampled_expectation(exact, "x", sampled(2 ** 64 - 1), (1,))
+        got = sampled_expectation(exact, "x", sampled(np.uint64(2 ** 64 - 1)), (np.int64(1),))
+        assert got.tobytes() == expected.tobytes()
+
+    def test_negative_stream_is_rejected(self):
+        with pytest.raises(ValueError):
+            sampled_expectation(0.0, "x", sampled(5), (-1,))
 
 
 class TestVoltage:
@@ -266,10 +348,20 @@ class TestBuildTrace:
         trace = build_trace(states, [p, p], grid.times(1.0), cfg)
         for q, series in enumerate(trace.qubits):
             for axis, column in (("x", series.sx_i), ("y", series.sy_i)):
-                expected = [sampled_expectation(expectation(partial_trace(s, q + 1), axis),
-                                                axis, cfg, (q, i))
+                expected = [reference_sample(expectation(partial_trace(s, q + 1), axis),
+                                             axis, cfg, (q, i))
                             for i, s in enumerate(states)]
                 assert np.array_equal(column, expected)
+
+    def test_sampled_mode_logs_its_clips(self, caplog):
+        # sigma_x of this matrix is 1 + 2e-12, so every x point clips
+        rho = np.array([[0.5, 0.5 + 1e-12], [0.5 + 1e-12, 0.5]], dtype=complex)
+        caplog.set_level(logging.DEBUG, logger="qmemristor.measurement")
+        build_trace(np.stack([rho] * 5), [DecayProfile(0.4, 1.0)], 0.1 * np.arange(5),
+                    sampled(2))
+        assert [r.getMessage() for r in caplog.records] == [
+            "qubit 1 axis x: clipped 5 of 5 p_up values to [0, 1]",
+            "qubit 1 axis y: clipped 0 of 5 p_up values to [0, 1]"]
 
     def test_profile_count_mismatch(self):
         init = InitialState(0.3, 0.0)
