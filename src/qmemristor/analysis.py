@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ops
 from .dynamics import TimeGrid
 from .errors import DimensionError, NumericsError
 from .linalg import dagger, require_density_matrix
@@ -117,7 +116,7 @@ def loop_metrics(points) -> LoopMetrics:
                        pinch_distance=float(radii.min()))
 
 
-_SPIN_FLIP = np.kron(ops.SIGMA_Y, ops.SIGMA_Y)
+_FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
 
 
 def concurrence(rho: np.ndarray) -> float | np.ndarray:
@@ -126,9 +125,10 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho * (sy (x) sy) * conj(rho) * (sy (x) sy). Computed here
     through the Hermitian form sqrt(rho) rho_tilde sqrt(rho), which shares its
-    spectrum with the product. A 4x4 state gives a float; a stack of shape
-    (n, 4, 4) is validated and decomposed in batched calls and gives an (n,)
-    array equal to the per-state values.
+    spectrum with the product. The spin flip rho_tilde is a signed reversal
+    of conj(rho), with no matrix product (see `_spin_flip`). A 4x4 state
+    gives a float; a stack of shape (n, 4, 4) is validated and decomposed in
+    batched calls and gives an (n,) array equal to the per-state values.
 
     References
     ----------
@@ -139,7 +139,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
         raise DimensionError(f"concurrence expects a 4x4 state, got {rho.shape}")
     require_density_matrix(rho, 4, context="concurrence input")
     sqrt_rho = _psd_sqrt(rho)
-    m = sqrt_rho @ (_SPIN_FLIP @ rho.conj() @ _SPIN_FLIP) @ sqrt_rho
+    m = sqrt_rho @ _spin_flip(rho) @ sqrt_rho
     # in place, sparing a stack-sized temporary (dagger(m) is a copy, not a view)
     m += dagger(m)
     m *= 0.5
@@ -150,6 +150,19 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
     c = np.clip(c, 0.0, 1.0)  # elementwise, and keeps NaN
     return float(c) if rho.ndim == 2 else c
+
+
+def _spin_flip(rho: np.ndarray) -> np.ndarray:
+    """rho_tilde = (sy (x) sy) conj(rho) (sy (x) sy) of a 4x4 matrix or stack.
+
+    sy (x) sy is a signed reversal of the basis, so rho_tilde is conj(rho)
+    with both indices reversed and entry (j, k) multiplied by s_j s_k,
+    s = (-1, 1, 1, -1). Adding +0.0 turns -0 into +0, as the matrix
+    product's sums do, so the two agree bit for bit.
+    """
+    flipped = rho.conj()[..., ::-1, ::-1] * _FLIP_SIGNS
+    flipped += 0.0
+    return flipped
 
 
 def _psd_sqrt(rho: np.ndarray) -> np.ndarray:

@@ -31,10 +31,15 @@ def require_density_matrix(rho: np.ndarray, dim: int | None = None,
     """Validate hermiticity, unit trace and positivity of a state or a stack of them.
 
     Tolerances: hermiticity 1e-12 (max entry deviation), trace 1e-10,
-    eigenvalues >= -1e-10; a NaN fails each of them. A stack of shape
-    (n, d, d) is checked with one batched eigvalsh and raises the error the
-    per-state call would raise for its first bad state, with "step k"
-    (1-based) added to the context.
+    eigenvalues >= -1e-10; a NaN fails each of them. Once the hermiticity
+    and trace checks pass for every state, one batched Cholesky
+    factorization of ``rho + 1e-10 * I`` accepts the input: it succeeds
+    when every eigenvalue lies above the floor, and the two tests can
+    disagree only within rounding of the floor. When it fails, or a cheaper
+    check failed, a batched eigvalsh finds and names the first bad state,
+    so every rejection comes from eigvalsh. A stack of shape (n, d, d)
+    raises the error the per-state call would raise for its first bad
+    state, with "step k" (1-based) added to the context.
     """
     rho = np.asarray(rho, dtype=complex)
     where = f" ({context})" if context else ""
@@ -48,6 +53,13 @@ def require_density_matrix(rho: np.ndarray, dim: int | None = None,
     trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
     # every tolerance test is written so that NaN fails it
     failed = ~((herm_dev <= HERMITICITY_TOL) & (trace_dev <= TRACE_TOL))
+    if not failed.any():
+        try:
+            np.linalg.cholesky(stack - EIGENVALUE_FLOOR * np.eye(stack.shape[-1]))
+        except np.linalg.LinAlgError:
+            pass  # eigvalsh below names the bad state
+        else:
+            return rho
     cut = int(np.argmax(failed)) if failed.any() else len(stack)
     # state by state, the eigenvalue check never runs past the first state
     # that fails a cheaper check

@@ -157,10 +157,14 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
 
 
 def _table(header: list[str], rows) -> str:
-    """CSV text: the header line, then one line per row, every value as %.12g."""
-    line = ",".join(["%.12g"] * len(header))
-    body = [line % tuple(row) for row in np.asarray(rows, float).tolist()]
-    return "\n".join([",".join(header)] + body) + "\n"
+    """CSV text: the header line, then one line per row, every value as %.12g.
+
+    The body is one ``%`` over the row format repeated per row and the
+    flattened values.
+    """
+    values = np.asarray(rows, float)
+    line = ",".join(["%.12g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + (line * len(values)) % tuple(values.ravel().tolist())
 
 
 def trace_csv(trace: ObservableTrace) -> str:

@@ -2,7 +2,7 @@
 
 One affine ``px``/``py`` pair maps data to pixels for whole arrays and for
 single values alike: each series is mapped once, then its polyline is
-formatted with ``%.2f``.
+formatted with one ``%`` over its interleaved x/y values, each as ``%.2f``.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ def line_plot(series: list[Series], title: str, xlabel: str, ylabel: str,
                      f'text-anchor="end">{label}</text>')
     for idx, s in enumerate(series):
         color = _COLORS[idx % len(_COLORS)]
-        pts = " ".join("%.2f,%.2f" % p for p in zip(px(np.asarray(s.x, float)).tolist(),
-                                                     py(np.asarray(s.y, float)).tolist()))
+        xy = np.column_stack([px(np.asarray(s.x, float)), py(np.asarray(s.y, float))])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                      f'stroke-width="1.2"/>')
         parts.append(f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16 + 14 * idx}" '

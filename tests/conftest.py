@@ -4,7 +4,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qmemristor import ops
+from qmemristor import dynamics, ops
+from qmemristor.presets import PRESET_NAMES, preset
 
 
 # fig9 as RunConfig.to_text wrote it while the config still had the
@@ -43,6 +44,55 @@ def random_density_matrix(rng, dim=2):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+STATE_KINDS = ("mixed", "pure", "real", "diagonal")
+COUPLED_PRESETS = [name for name in PRESET_NAMES if preset(name).mode == "coupled"]
+
+
+def random_state_stack(rng, kind, n, dim):
+    """(n, dim, dim) stack of random states of one of STATE_KINDS.
+
+    'mixed' is full rank and complex, 'pure' is rank one, 'real' is full
+    rank with every imaginary part +0, and 'diagonal' has a random spectrum
+    on the diagonal and a random signed zero in every other real and
+    imaginary part.
+    """
+    if kind == "pure":
+        psi = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        return psi[:, :, None] * psi.conj()[:, None, :]
+    if kind == "diagonal":
+        stack = np.empty((n, dim, dim), dtype=complex)
+        stack.real = np.where(rng.integers(0, 2, size=stack.shape), -0.0, 0.0)
+        stack.imag = np.where(rng.integers(0, 2, size=stack.shape), -0.0, 0.0)
+        p = rng.uniform(0.01, 1.0, size=(n, dim))
+        stack.real[:, np.arange(dim), np.arange(dim)] = p / p.sum(axis=1, keepdims=True)
+        return stack
+    g = rng.normal(size=(n, dim, dim))
+    if kind == "mixed":
+        g = g + 1j * rng.normal(size=(n, dim, dim))
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=1, axis2=2)[:, None, None]
+    return rho.astype(complex)
+
+
+def preset_trajectory(name):
+    """A preset's stepped (n_steps+1, d, d) state stack, as `execute` analyses it."""
+    parts = preset(name).validate()
+    if parts.init2 is None:
+        return np.stack([s.rho for s in dynamics.run_single(parts.init1, parts.profile1,
+                                                              parts.grid)])
+    return dynamics.run_coupled(parts.init1, parts.init2, parts.profile1, parts.profile2,
+                                parts.grid, [parts.interaction])[0]
+
+
+def assert_same_bits(actual, expected):
+    """Equal values and equal sign bits, so -0 and +0 differ; NaN never passes."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert np.array_equal(actual, expected)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(actual)), np.signbit(part(expected)))
 
 
 def expectation(rho, axis):

@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmemristor import ops
 from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD,
                                  ORIGIN_CROSSING_FRACTION, LoopMetrics,
-                                 _origin_lobes, concurrence,
+                                 _origin_lobes, _spin_flip, concurrence,
                                  entanglement_events, loop_metrics,
                                  split_loops)
 from qmemristor.dynamics import TimeGrid
 from qmemristor.errors import DimensionError, NumericsError, StateError
 from qmemristor.measurement import ObservableTrace, QubitSeries
 
-from conftest import random_density_matrix, random_unitary
+from conftest import (COUPLED_PRESETS, STATE_KINDS, assert_same_bits, preset_trajectory,
+                      random_density_matrix, random_state_stack, random_unitary)
 
 
 def make_trace(v, i, n_qubits=1):
@@ -395,6 +397,28 @@ class TestConcurrence:
         stack[2] = np.eye(4)
         with pytest.raises(StateError, match=r"concurrence input, step 3"):
             concurrence(stack)
+
+
+def reference_spin_flip(rho):
+    """Wootters' rho_tilde as the two matrix products that define it."""
+    flip = np.kron(ops.SIGMA_Y, ops.SIGMA_Y)
+    return flip @ rho.conj() @ flip
+
+
+class TestSpinFlipMatchesReference:
+    @given(seed=seeds, kind=st.sampled_from(STATE_KINDS), n=st.integers(1, 40),
+           single=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_random_states(self, seed, kind, n, single):
+        rho = random_state_stack(np.random.default_rng(seed), kind, n, 4)
+        if single:
+            rho = rho[-1]
+        assert_same_bits(_spin_flip(rho), reference_spin_flip(rho))
+
+    @pytest.mark.parametrize("name", COUPLED_PRESETS)
+    def test_coupled_preset_trajectories(self, name):
+        rho = preset_trajectory(name)
+        assert_same_bits(_spin_flip(rho), reference_spin_flip(rho))
 
 
 class TestEntanglementEvents:

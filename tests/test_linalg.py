@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemristor.errors import DimensionError, StateError
-from qmemristor.linalg import partial_trace, require_density_matrix
+from qmemristor.linalg import (EIGENVALUE_FLOOR, HERMITICITY_TOL, TRACE_TOL, dagger,
+                               partial_trace, require_density_matrix)
 from qmemristor.ops import IDENTITY_2
+from qmemristor.presets import PRESET_NAMES
 
-from conftest import random_density_matrix
+from conftest import (STATE_KINDS, preset_trajectory, random_density_matrix,
+                      random_state_stack, random_unitary)
 
 KET_E = np.array([1.0, 0.0], dtype=complex)
 KET_G = np.array([0.0, 1.0], dtype=complex)
@@ -157,3 +162,119 @@ class TestPartialTraceStack:
             assert reduced.shape == (10, 2, 2)
             expected = np.stack([partial_trace(r, keep) for r in stack])
             assert reduced.tobytes() == expected.tobytes()
+
+
+def reference_require_density_matrix(rho, dim=None, context=""):
+    """The validation with eigvalsh alone, the decision the Cholesky
+    acceptance of `require_density_matrix` must reproduce."""
+    rho = np.asarray(rho, dtype=complex)
+    where = f" ({context})" if context else ""
+    if (rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]
+            or rho.shape[-1] not in (2, 4)):
+        raise DimensionError(f"density matrix must be 2x2 or 4x4, got {rho.shape}{where}")
+    if dim is not None and rho.shape[-1] != dim:
+        raise DimensionError(f"expected a {dim}-dimensional state, got {rho.shape}{where}")
+    stack = rho if rho.ndim == 3 else rho[None]
+    herm_dev = np.abs(stack - dagger(stack)).max(axis=(1, 2))
+    trace_dev = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    failed = ~((herm_dev <= HERMITICITY_TOL) & (trace_dev <= TRACE_TOL))
+    cut = int(np.argmax(failed)) if failed.any() else len(stack)
+    lowest = np.linalg.eigvalsh(stack[:cut]).min(axis=1)
+    negative = ~(lowest >= EIGENVALUE_FLOOR)
+    first = int(np.argmax(negative)) if negative.any() else cut
+    if first == len(stack):
+        return rho
+    if rho.ndim == 3:
+        where = f" ({context}, step {first + 1})" if context else f" (step {first + 1})"
+    if not herm_dev[first] <= HERMITICITY_TOL:
+        raise StateError(f"state not Hermitian: max deviation {herm_dev[first]:.3e}{where}")
+    if not trace_dev[first] <= TRACE_TOL:
+        raise StateError(f"state trace deviates from 1 by {trace_dev[first]:.3e}{where}")
+    raise StateError(f"state has eigenvalue {lowest[first]:.3e} below floor{where}")
+
+
+def floor_state(rng, dim, offset):
+    """A random state whose lowest eigenvalue is EIGENVALUE_FLOOR + offset, to rounding."""
+    lams = rng.uniform(0.1, 1.0, size=dim)
+    lams[0] = EIGENVALUE_FLOOR + offset
+    lams[1:] *= (1.0 - lams[0]) / lams[1:].sum()
+    u = random_unitary(rng, dim)
+    return (u * lams) @ u.conj().T
+
+
+def defect_state(rng, defect, dim):
+    """A state with one defect, or one just either side of the eigenvalue floor."""
+    if defect == "below_floor":
+        return floor_state(rng, dim, -1e-13)
+    if defect == "above_floor":
+        return floor_state(rng, dim, 1e-13)
+    bad = random_state_stack(rng, "mixed", 1, dim)[0]
+    if defect == "nan":
+        bad[rng.integers(dim), rng.integers(dim)] = np.nan
+    elif defect == "hermitian":
+        bad[0, 1] += 1e-9
+    else:
+        bad *= 1.0 + 1e-9
+    return bad
+
+
+def outcome(validate, rho):
+    """What a validation does with ``rho``: accept it, or raise a named error."""
+    try:
+        accepted = validate(rho, context="run")
+    except (StateError, DimensionError) as err:
+        return type(err), str(err)
+    assert accepted is rho
+    return "accepted"
+
+
+DEFECTS = ["nan", "hermitian", "trace", "below_floor", "above_floor"]
+
+
+class TestCholeskyAcceptanceMatchesEigvalsh:
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(STATE_KINDS),
+           dim=st.sampled_from([2, 4]), n=st.integers(1, 12),
+           defect=st.sampled_from([None] + DEFECTS),
+           at=st.sampled_from(["first", "middle", "last"]), single=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_same_decision_and_message(self, seed, kind, dim, n, defect, at, single):
+        rng = np.random.default_rng(seed)
+        stack = random_state_stack(rng, kind, n, dim)
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[at]
+        if defect is not None:
+            stack[k] = defect_state(rng, defect, dim)
+        rho = stack[k] if single else stack
+        assert outcome(require_density_matrix, rho) == outcome(
+            reference_require_density_matrix, rho)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    @pytest.mark.parametrize("offset, accepted", [(1e-13, True), (-1e-13, False)])
+    def test_floor_give_or_take_1e_13(self, rng, dim, offset, accepted):
+        for _ in range(200):
+            rho = floor_state(rng, dim, offset)
+            assert outcome(require_density_matrix, rho) == outcome(
+                reference_require_density_matrix, rho)
+            assert (outcome(require_density_matrix, rho) == "accepted") == accepted
+
+    @pytest.mark.parametrize("kind", STATE_KINDS)
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_valid_states_need_no_eigvalsh(self, rng, monkeypatch, kind, dim):
+        # the factorization alone accepts states on the floor's safe side,
+        # pure states (eigenvalue 0) and those 1e-13 above the floor included
+        stacks = [random_state_stack(rng, kind, 50, dim),
+                  np.stack([floor_state(rng, dim, 1e-13) for _ in range(50)])]
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        for stack in stacks:
+            single = stack[0]
+            assert require_density_matrix(stack) is stack
+            assert require_density_matrix(single) is single
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_trajectories_need_no_eigvalsh(self, monkeypatch, name):
+        states = preset_trajectory(name)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+        assert require_density_matrix(states, context="run") is states
+
+
+def _no_eigvalsh(*args, **kwargs):
+    raise AssertionError("eigvalsh called on states the Cholesky check should accept")

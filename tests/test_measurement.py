@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmemristor import measurement
+from qmemristor import measurement, ops
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  run_coupled, run_single)
@@ -19,7 +19,8 @@ from qmemristor.ops import InteractionSpec
 from qmemristor.presets import preset
 from qmemristor.runner import execute
 
-from conftest import expectation, random_density_matrix
+from conftest import (COUPLED_PRESETS, STATE_KINDS, assert_same_bits, expectation,
+                      preset_trajectory, random_density_matrix, random_state_stack)
 
 EXACT = ShotConfig(mode="exact")
 
@@ -56,6 +57,37 @@ def first_bloch_columns(rho):
     times = 0.1 * np.arange(5)
     q = build_trace(np.stack([rho] * 5), [DecayProfile(0.4, 1.0)], times, EXACT).qubits[0]
     return q.sx_i[0], q.sy_i[0]
+
+
+def reference_bloch(reduced):
+    """(sx, sy) rows of a (n, 2, 2) stack as Tr(sigma rho), one stacked
+    matmul and trace: the form `build_trace`'s two-entry sums stand for."""
+    transverse = np.stack([ops.SIGMA_X, ops.SIGMA_Y])
+    return np.trace(transverse[:, None] @ reduced, axis1=2, axis2=3).real
+
+
+def assert_bloch_matches_reference(states):
+    """Each qubit's exact (sx_I, sy_I) columns against `reference_bloch`, bit for bit."""
+    reduced = [states] if states.shape[-1] == 2 else [partial_trace(states, k) for k in (1, 2)]
+    times = 0.1 * np.arange(len(states))
+    trace = build_trace(states, [DecayProfile(0.4, 1.0)] * len(reduced), times, EXACT)
+    for series, rhos in zip(trace.qubits, reduced):
+        sx, sy = reference_bloch(rhos)
+        assert_same_bits(series.sx_i, sx)
+        assert_same_bits(series.sy_i, sy)
+
+
+class TestBlochMatchesReference:
+    @given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(STATE_KINDS),
+           n=st.integers(5, 40), dim=st.sampled_from([2, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_random_stacks(self, seed, kind, n, dim):
+        assert_bloch_matches_reference(
+            random_state_stack(np.random.default_rng(seed), kind, n, dim))
+
+    @pytest.mark.parametrize("name", COUPLED_PRESETS)
+    def test_coupled_preset_trajectories(self, name):
+        assert_bloch_matches_reference(preset_trajectory(name))
 
 
 class TestExactExpectation:

@@ -70,29 +70,56 @@ class TestCsvWriters:
         header = "delta,mean_F_q1,mean_F_q2,pinch_pass_q1,pinch_pass_q2,esd_count,esb_count"
         assert runner.scan_csv(scan) == reference_table(header, rows)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_row_traces(self, n):
+        cols = [c[:n] for c in awkward_series(4)[1]]
+        q = QubitSeries(*cols)
+        trace = ObservableTrace(t=AWKWARD[:n], qubits=(q,))
+        rows = zip(AWKWARD[:n], *cols)
+        assert runner.trace_csv(trace) == reference_table(SINGLE_HEADER, rows)
+
     def test_empty_scan_is_the_header_line(self):
         assert runner.scan_csv([]) == ("delta,mean_F_q1,mean_F_q2,pinch_pass_q1,"
                                        "pinch_pass_q2,esd_count,esb_count\n")
 
 
+POLY_X = np.array([-0.0, 0.5, -1.25, 3.0, 1e-300, 2.005])
+POLY_Y = np.array([0.0, -0.0, 2.0, -3.5, 0.125, -1e-300])
+EMPTY = np.array([])
+
+
+def assert_polylines_match_reference(xy):
+    """Each (x, y) series' polyline against per-point ``f"{px:.2f},{py:.2f}"``."""
+    svg = svgplot.line_plot([svgplot.Series(x, y, f"s{k}") for k, (x, y) in enumerate(xy)],
+                            title="t", xlabel="x", ylabel="y")
+    xs_all = np.concatenate([x for x, _ in xy])
+    ys_all = np.concatenate([y for _, y in xy])
+    x_lo, x_hi = svgplot._padded(xs_all.min(), xs_all.max())
+    y_lo, y_hi = svgplot._padded(ys_all.min(), ys_all.max())
+    width = svgplot._WIDTH - 2 * svgplot._MARGIN
+    height = svgplot._HEIGHT - 2 * svgplot._MARGIN
+    assert svg.count("<polyline") == len(xy)
+    for xs, ys in xy:
+        pts = []
+        for a, b in zip(xs, ys):
+            px = svgplot._MARGIN + (a - x_lo) / (x_hi - x_lo) * width
+            py = svgplot._HEIGHT - svgplot._MARGIN - (b - y_lo) / (y_hi - y_lo) * height
+            pts.append(f"{px:.2f},{py:.2f}")
+        assert f'<polyline points="{" ".join(pts)}"' in svg
+
+
 class TestPolyline:
     def test_points_match_per_point_reference(self):
-        x = np.array([-0.0, 0.5, -1.25, 3.0, 1e-300, 2.005])
-        y = np.array([0.0, -0.0, 2.0, -3.5, 0.125, -1e-300])
-        x2, y2 = x[::-1] * 0.5, -0.0 * y
-        svg = svgplot.line_plot([svgplot.Series(x, y, "a"), svgplot.Series(x2, y2, "b")],
-                                title="t", xlabel="x", ylabel="y")
-        x_lo, x_hi = svgplot._padded(min(x.min(), x2.min()), max(x.max(), x2.max()))
-        y_lo, y_hi = svgplot._padded(min(y.min(), y2.min()), max(y.max(), y2.max()))
-        width = svgplot._WIDTH - 2 * svgplot._MARGIN
-        height = svgplot._HEIGHT - 2 * svgplot._MARGIN
-        for xs, ys in ((x, y), (x2, y2)):
-            pts = []
-            for a, b in zip(xs, ys):
-                px = svgplot._MARGIN + (a - x_lo) / (x_hi - x_lo) * width
-                py = svgplot._HEIGHT - svgplot._MARGIN - (b - y_lo) / (y_hi - y_lo) * height
-                pts.append(f"{px:.2f},{py:.2f}")
-            assert f'<polyline points="{" ".join(pts)}"' in svg
+        assert_polylines_match_reference([(POLY_X, POLY_Y),
+                                          (POLY_X[::-1] * 0.5, -0.0 * POLY_Y)])
+
+    @pytest.mark.parametrize("xy", [
+        [(POLY_X, POLY_Y), (EMPTY, EMPTY)],
+        [(POLY_X[2:3], POLY_Y[2:3])],
+        [(POLY_X[1:2], POLY_Y[1:2]), (EMPTY, EMPTY), (POLY_X, -POLY_Y)],
+    ], ids=["with_empty", "one_point", "one_point_and_empty"])
+    def test_empty_and_one_point_series(self, xy):
+        assert_polylines_match_reference(xy)
 
 
 class TestScanDirectoryCollisions:
