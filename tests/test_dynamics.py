@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -332,6 +333,23 @@ class TestLindbladOracle:
         assert not np.allclose(ham @ diss, diss @ ham)
         monkeypatch.setattr(dynamics, "_liouvillian_parts", lambda omega: (ham, diss))
         with pytest.raises(IntegrationError, match="^Liouvillian parts share no eigenbasis"):
+            lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 1e-3)
+
+    @pytest.mark.parametrize("perturb", [
+        # mode 0 decays: d0 = 0.1
+        lambda ham, diss: (ham, diss + 0.1 * np.eye(4)),
+        # mode 1 rotates: h1 = 0.1i
+        lambda ham, diss: (ham + 0.1j * np.outer(dynamics._MODES[:, 1],
+                                                 dynamics._MODES_INVERSE[1]), diss),
+        # the coherences are no conjugate pair: h3 = 2i, h2 = -i
+        lambda ham, diss: (ham * [1.0, 1.0, 2.0, 1.0], diss),
+    ], ids=["mode0_decays", "mode1_complex", "coherences_unpaired"])
+    def test_mode_structure_guard(self, monkeypatch, perturb):
+        # the parts still commute, but the oracle's shortcuts would be wrong
+        ham, diss = perturb(*dynamics._liouvillian_parts(1.0))
+        assert np.array_equal(ham @ diss, diss @ ham)
+        monkeypatch.setattr(dynamics, "_liouvillian_parts", lambda omega: (ham, diss))
+        with pytest.raises(IntegrationError, match="^Liouvillian modes lost their structure"):
             lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 1e-3)
 
     def test_parts_commute_in_one_integer_basis(self):
@@ -815,3 +833,91 @@ class TestLindbladMatchesReferencePropagators:
         p = DecayProfile(1.0, omega, constant_rate=rate)
         out = lindblad_oracle(init, p, t_end, dt_ode)
         assert np.abs(out - reference_lindblad_oracle(init, p, t_end, dt_ode)).max() <= 1e-13
+
+
+# The Lindblad oracle as it stood before it stepped only two eigenmodes: the
+# basis from eig(H / max|H| + D) with its columns scaled to integers, and RK4
+# on all four modes in complex arithmetic. numpy's complex multiply rounds
+# a*b and b*a apart in the last bit and swaps a product whose right operand
+# is a temporary of 256 KiB or more, as the (4, n) ones were from 4096 steps
+# on; each such product is written here with that temporary on the left, the
+# order it ran in at those sizes, so the reference has one order at every
+# step count. Two-mode oracle and reference must agree bit for bit.
+
+def reference_eig_modes(omega):
+    ham, diss = dynamics._liouvillian_parts(omega)
+    _, modes = np.linalg.eig(ham / max(np.abs(ham).max(), sys.float_info.min) + diss)
+    modes = modes / modes[np.abs(modes).argmax(axis=0), range(4)]
+    inverse = np.linalg.inv(modes)
+    ham_eig = np.diag(inverse @ ham @ modes)
+    diss_eig = np.diag(inverse @ diss @ modes)
+    return modes, inverse, ham_eig, diss_eig
+
+
+def reference_four_mode_oracle(init, p, t_end, dt_ode):
+    modes, inverse, ham_eig, diss_eig = reference_eig_modes(p.omega)
+    n_full, rem = divmod(t_end, dt_ode)
+    h = np.full(int(n_full), dt_ode)
+    if rem > 1e-12 * max(1.0, t_end):
+        h = np.append(h, rem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = decay_rate(np.arange(len(h))[:, None] * dt_ode + h[:, None] * [0.0, 0.5, 1.0], p)
+        lam = ham_eig[:, None, None] + diss_eig[:, None, None] * rate.T
+        k1 = lam[:, 0]
+        k2 = (1.0 + 0.5 * h * k1) * lam[:, 1]
+        k3 = (1.0 + 0.5 * h * k2) * lam[:, 1]
+        k4 = (1.0 + h * k3) * lam[:, 2]
+        gains = 1.0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        v = modes @ (gains.prod(axis=1) * (inverse @ init.density_matrix().reshape(4)))
+    rho = v.reshape(2, 2)
+    drift = abs(rho.trace() - 1.0)
+    if not drift <= 1e-6:
+        raise IntegrationError(f"trace drifted by {drift:.3e}; decrease dt_ode")
+    return rho
+
+
+def assert_oracles_agree(init, p, t_end, dt_ode):
+    """The two-mode oracle returns what the reference returns, bit for bit,
+    or raises the IntegrationError with the reference's message."""
+    outcomes = []
+    for oracle in (lindblad_oracle, reference_four_mode_oracle):
+        try:
+            outcomes.append(oracle(init, p, t_end, dt_ode))
+        except IntegrationError as exc:
+            outcomes.append(str(exc))
+    out, ref = outcomes
+    if isinstance(ref, str):
+        assert out == ref
+    else:
+        assert np.array_equal(out, ref)
+
+
+# a Hamiltonian part that rounds to zero, one that nearly does, and one so
+# large that every step overflows
+EXTREME_OMEGAS = (5e-324, 1e-300, 1e300)
+
+
+class TestTwoModeOracleMatchesFourModeReference:
+    @given(init=initial_states,
+           p=st.one_of(st.floats(0.5, 3.0), st.sampled_from(EXTREME_OMEGAS)).flatmap(profiles),
+           t_end=st.one_of(st.floats(0.0, 62.8), st.sampled_from([0.0, 1e-14])),
+           dt_ode=st.floats(1e-3, 0.1))
+    # whole steps only (binary-exact times), then the same with a remainder step
+    @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=2.0, dt_ode=0.0078125)
+    @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=2.003, dt_ode=0.0078125)
+    @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=62.8, dt_ode=1e-3)
+    @settings(max_examples=60, deadline=None)
+    def test_bit_for_bit(self, init, p, t_end, dt_ode):
+        assert_oracles_agree(init, p, t_end, dt_ode)
+
+    @pytest.mark.parametrize("omega", EXTREME_OMEGAS)
+    @pytest.mark.parametrize("t_end", [0.0, 1e-14, 0.05])
+    def test_bit_for_bit_at_extreme_omega(self, omega, t_end):
+        for p in (DecayProfile(0.4, omega), DecayProfile(1.0, omega, constant_rate=0.3)):
+            assert_oracles_agree(FIG4_INIT, p, t_end, 1e-3)
+
+    @given(omega=st.one_of(st.floats(5e-324, 1e300), st.sampled_from(EXTREME_OMEGAS)))
+    @settings(max_examples=100, deadline=None)
+    def test_closed_form_basis_is_eigs(self, omega):
+        for got, ref in zip(dynamics._liouvillian_modes(omega), reference_eig_modes(omega)):
+            assert np.array_equal(got, ref)
