@@ -1,9 +1,11 @@
-"""Time-stepped evolution engine and its two independent oracles.
+"""Time-stepped evolution of one or two memristors and two independent oracles.
 
 The digital trajectory applies one amplitude-damping map per grid step, with
 the log-amplitude kappa obtained by adaptive quadrature of the decay rate: one
 array adaptive Simpson whose panels refine together, one level per pass, so a
-whole schedule's steps are integrated in one call.
+whole schedule's steps are integrated in one call. One qubit needs no step
+loop (`run_single` keeps each state entry as a running product or sum); two
+coupled qubits are stepped together for every coupling spec (`run_coupled`).
 `analytic_oracle` evaluates the closed-form interaction-picture solution, with
 kappa(0, t) summed from the Jacobi-Anger series of the rate (Abramowitz &
 Stegun 9.1.42-9.1.45); `lindblad_oracle` integrates the lab-frame master
@@ -249,10 +251,26 @@ def theta_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
 
 def run_single(init: InitialState, p: DecayProfile,
                grid: TimeGrid) -> list[TrajectoryState]:
-    """Digital trajectory of one memristor: one damping Kraus map per step."""
-    kappas = kappa_schedule(grid, p)
-    rhos = _evolve(init.density_matrix()[None], kappas[:, None], None, "single trajectory")
-    return [TrajectoryState(t, r) for t, r in zip(grid.times(p.omega).tolist(), rhos[0])]
+    """Digital trajectory of one memristor: one damping Kraus map per step.
+
+    E0 = diag(a, 1) and E1 = s|g><e| have one nonzero entry per row, so each
+    entry of E0 rho E0^dag + E1 rho E1^dag follows one running product or
+    sum: the excited population scales as (a ee) a, the coherences by a,
+    and the ground population gains (s ee) s. ``accumulate`` runs strictly
+    left to right, so every entry rounds as the step-by-step map does.
+    """
+    kraus = ops.damping_kraus(kappa_schedule(grid, p))
+    a, s = kraus[:, 0, 0, 0], kraus[:, 1, 1, 0]
+    rho0 = init.density_matrix()
+    rhos = np.empty((len(kraus) + 1, 2, 2), dtype=complex)
+    ee = np.multiply.accumulate(np.concatenate([rho0[0, :1], np.repeat(a, 2)]))[::2]
+    rhos[:, 0, 0] = ee
+    rhos[:, 0, 1] = np.multiply.accumulate(np.concatenate([rho0[0, 1:], a]))
+    rhos[:, 1, 0] = np.multiply.accumulate(np.concatenate([rho0[1, :1], a]))
+    rhos[:, 1, 1] = np.add.accumulate(np.concatenate([rho0[1, 1:], s * ee[:-1] * s]))
+    require_density_matrix(rhos[1:], 2, context="single trajectory")
+    rhos.flags.writeable = False  # every returned state is a view of this buffer
+    return [TrajectoryState(t, r) for t, r in zip(grid.times(p.omega).tolist(), rhos)]
 
 
 def run_coupled(init1: InitialState, init2: InitialState,
@@ -261,13 +279,15 @@ def run_coupled(init1: InitialState, init2: InitialState,
     """Digital trajectories of two coupled memristors, one per coupling spec.
 
     Each step damps both qubits independently (the Kronecker products of
-    the two qubits' Kraus operators, four terms) and then conjugates each
-    trajectory by its own coupling gate A as A^dag rho A, with A built once
-    per spec. Everything but the gate is shared: one kappa schedule per
-    distinct profile and one Kraus stack step all trajectories together.
-    Returns the states as one read-only (len(specs), n_steps+1, 4, 4) array;
-    slice b is bit for bit the run with ``specs[b]`` alone. Requires both
-    profiles to share omega so one grid drives both.
+    the two qubits' Kraus operators, four terms, summed from the first on)
+    and then conjugates each trajectory by its own coupling gate A as
+    A^dag rho A, with A built once per spec. Everything but the gate is
+    shared: one kappa schedule per distinct profile and one Kraus stack
+    step all trajectories together. Returns the states as one read-only
+    (len(specs), n_steps+1, 4, 4) array; slice b is bit for bit the run
+    with ``specs[b]`` alone, and each trajectory is validated on its own, so
+    an error names the step as a lone run's would. Requires both profiles
+    to share omega so one grid drives both.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
@@ -276,57 +296,26 @@ def run_coupled(init1: InitialState, init2: InitialState,
     rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
     gates = np.array([dagger(ops.interaction_unitary(spec)) for spec in specs],
                      dtype=complex).reshape(-1, 4, 4)
-    return _evolve(np.broadcast_to(rho0, gates.shape), np.stack([k1, k2], axis=1), gates,
-                   "coupled trajectory")
-
-
-def _evolve(rho0: np.ndarray, kappa_rows: np.ndarray, gates: np.ndarray | None,
-            context: str) -> np.ndarray:
-    """Step a stack of n_b one- or two-qubit states through the grid together.
-
-    ``rho0`` has shape (n_b, d, d). Row i of ``kappa_rows`` holds each
-    qubit's kappa for step i; the Kraus operators of every step come from one
-    ``ops.damping_kraus`` call per qubit (for two qubits, the four Kronecker
-    products of the two stacks) and are shared by the whole stack. A step sums
-    op rho op^dag over them from the first term on, then conjugates state b
-    as gates[b] rho gates[b]^dag if ``gates`` (n_b, d, d) is given. Returns
-    the states as one read-only (n_b, n_steps+1, d, d) array. Each
-    trajectory is validated on its own after the loop, so an error names
-    ``context`` and the step as a lone trajectory's would.
-    """
-    # the (n_terms, 1, d, d) operators of a step broadcast over the stack
-    kraus = _step_kraus(kappa_rows)[:, :, None]
+    gates_h = dagger(gates)
+    kraus1, kraus2 = ops.damping_kraus(k1), ops.damping_kraus(k2)
+    # np.kron of every term pair as one broadcast multiply (same entries),
+    # in the order e0, e1 (x) e0, e1; each step's (4, 1, 4, 4) operators
+    # broadcast over the trajectories
+    kraus = (kraus1[:, :, None, :, None, :, None]
+             * kraus2[:, None, :, None, :, None, :]).reshape(-1, 4, 4, 4)[:, :, None]
     kraus_h = dagger(kraus)
-    gates_h = None if gates is None else dagger(gates)
-    n_b, dim = rho0.shape[:2]
-    rhos = np.empty((n_b, len(kraus) + 1, dim, dim), dtype=complex)
-    rhos[:, 0] = rho = rho0
+    rhos = np.empty((len(gates), len(kraus) + 1, 4, 4), dtype=complex)
+    rhos[:, 0] = rho = np.broadcast_to(rho0, gates.shape)
     for i in range(len(kraus)):
         terms = kraus[i] @ rho @ kraus_h[i]
         # added one by one: a reduction over the terms does not keep -0.0
-        rho = terms[0]
-        for term in terms[1:]:
-            rho = rho + term
-        if gates is not None:
-            rho = gates @ rho @ gates_h
-        rhos[:, i + 1] = rho
+        rho = terms[0] + terms[1] + terms[2] + terms[3]
+        rhos[:, i + 1] = rho = gates @ rho @ gates_h
     del kraus, kraus_h  # freed before the validation allocates its own stacks
     for trajectory in rhos:
-        require_density_matrix(trajectory[1:], dim, context=context)
-    rhos.flags.writeable = False  # every returned state is a view of this buffer
+        require_density_matrix(trajectory[1:], 4, context="coupled trajectory")
+    rhos.flags.writeable = False
     return rhos
-
-
-def _step_kraus(kappa_rows: np.ndarray) -> np.ndarray:
-    """Kraus operators of every step, shape (n_steps, 2, 2, 2) for one qubit
-    and (n_steps, 4, 4, 4) for two, in the order e0, e1 (x) e0, e1."""
-    kraus = ops.damping_kraus(kappa_rows[:, 0])
-    if kappa_rows.shape[1] == 1:
-        return kraus
-    partner = ops.damping_kraus(kappa_rows[:, 1])
-    # np.kron of every term pair as one broadcast multiply (same entries)
-    return (kraus[:, :, None, :, None, :, None]
-            * partner[:, None, :, None, :, None, :]).reshape(-1, 4, 4, 4)
 
 
 def _bessel_j_at_1(n: int) -> float:

@@ -39,11 +39,6 @@ def rotation(axis: str, angle: float) -> np.ndarray:
     return math.cos(angle / 2) * IDENTITY_2 - 1j * math.sin(angle / 2) * sigma
 
 
-def free_evolution(t: float, omega: float) -> np.ndarray:
-    """exp(-i H t) for H = omega*sigma_z/2 (the constant offset is dropped)."""
-    return np.diag([np.exp(-0.5j * omega * t), np.exp(0.5j * omega * t)])
-
-
 def damping_kraus(kappa) -> np.ndarray:
     """Amplitude-damping Kraus operators for log-amplitude kappa <= 0.
 

@@ -15,10 +15,9 @@ from qmemristor.dynamics import (DecayProfile, InitialState, TimeGrid,
                                  run_coupled, run_single, theta_schedule)
 from qmemristor.errors import IntegrationError, StateError
 from qmemristor.linalg import dagger, partial_trace, require_density_matrix
-from qmemristor.ops import (InteractionSpec, apply_channel, collision_step,
-                            damping_kraus, free_evolution)
+from qmemristor.ops import InteractionSpec, apply_channel, collision_step, damping_kraus
 
-from conftest import deadline
+from conftest import assert_same_bits, deadline
 
 FIG4_INIT = InitialState(math.pi / 4, math.pi / 5)
 FIG4_PROFILE = DecayProfile(0.4, 1.0)
@@ -223,6 +222,20 @@ class TestRunSingle:
         for i, s in enumerate(coarse):
             assert np.abs(s.rho - fine[2 * i].rho).max() <= 1e-11
 
+    def test_validation_names_the_failing_step(self, monkeypatch):
+        # doubling E1's entry quadruples the population it moves, so the
+        # trace grows past 1 at the first step
+        kraus = ops.damping_kraus
+
+        def faulty(kappas):
+            out = kraus(kappas)
+            out[..., 1, 1, 0] *= 2.0
+            return out
+
+        monkeypatch.setattr(ops, "damping_kraus", faulty)
+        with pytest.raises(StateError, match=r"\(single trajectory, step 1\)"):
+            run_single(InitialState(0.7), DecayProfile(0.3, 1.0), TimeGrid(1, 8))
+
 
 class TestAnalyticOracle:
     def test_initial_projector(self):
@@ -262,6 +275,11 @@ class TestAnalyticOracle:
         for state in states:
             oracle = analytic_oracle(FIG4_INIT, FIG4_PROFILE, state.time)
             assert np.abs(state.rho - oracle).max() <= 1e-9
+
+
+def free_evolution(t, omega):
+    """exp(-i H t) for H = omega*sigma_z/2 (the constant offset is dropped)."""
+    return np.diag([np.exp(-0.5j * omega * t), np.exp(0.5j * omega * t)])
 
 
 class TestLindbladOracle:
@@ -557,9 +575,10 @@ class TestTypeValidation:
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-14)
 
 
-# The per-qubit trajectory loops as they stood before run_single and
-# run_coupled shared one stepper. The stepper performs the same floating-point
-# operations in the same order, so it must reproduce them bit for bit.
+# The per-qubit trajectory loops: one Kraus map per step, applied as matrix
+# products. run_single's running products and sums and run_coupled's stacked
+# step perform the same floating-point operations in the same order, so they
+# must reproduce these loops bit for bit, sign bits included.
 
 def reference_single(init, p, grid):
     times = grid.times(p.omega)
@@ -597,13 +616,13 @@ def assert_identical(states, reference):
     assert len(states) == len(reference)
     for s, r in zip(states, reference):
         assert s.time == r.time
-        assert np.array_equal(s.rho, r.rho)
+        assert_same_bits(s.rho, r.rho)
 
 
 def assert_stack_identical(rhos, reference):
     """A stepped (n_steps+1, d, d) stack against a reference loop's states."""
     assert rhos.shape[0] == len(reference)
-    assert np.array_equal(rhos, np.stack([state.rho for state in reference]))
+    assert_same_bits(rhos, np.stack([state.rho for state in reference]))
 
 
 initial_states = st.builds(InitialState, st.floats(0.0, math.pi / 2),
@@ -630,6 +649,21 @@ class TestStepperMatchesReferenceLoops:
     def test_single(self, data, init, grid, omega):
         p = data.draw(profiles(omega))
         assert_identical(run_single(init, p, grid), reference_single(init, p, grid))
+
+    @pytest.mark.parametrize("init, p, grid", [
+        (InitialState(0.0, 0.0), DecayProfile(0.3, 1.0), TimeGrid(2, 12)),
+        (InitialState(math.pi / 2, 0.0), DecayProfile(0.3, 1.0), TimeGrid(2, 12)),
+        (InitialState(0.7, 1.3), DecayProfile(0.3, 1.0, constant_rate=0.0), TimeGrid(2, 12)),
+        (InitialState(0.7, 1.3), DecayProfile(0.3, 1.0), TimeGrid(1, 8)),
+        # dt rounds to 0.0, so every kappa is +0.0 and every step the identity
+        (InitialState(0.7, 1.3), DecayProfile(0.3, 1e308), TimeGrid(1, 30)),
+    ], ids=["excited", "ground", "zero_rate", "shortest_grid", "empty_steps"])
+    def test_single_edge_cases(self, init, p, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states = run_single(init, p, grid)
+            reference = reference_single(init, p, grid)
+        assert_identical(states, reference)
 
     @given(data=st.data(), init1=initial_states, init2=initial_states,
            grid=grids, omega=st.floats(0.5, 2.0), spec=couplings)
