@@ -1,4 +1,13 @@
-"""Hysteresis-loop geometry and two-qubit entanglement analytics."""
+"""Hysteresis-loop geometry and two-qubit entanglement analytics.
+
+`split_loops` cuts a trace into one (V, I) loop per drive period, and
+`loop_metrics` measures a whole (n_loops, n, 2) stack of them in one pass:
+row-wise arrays for the perimeters, radii and shoelaces, one search for
+every loop's near-origin crossings, and one row reduction per lobe length,
+each loop's metrics bit for bit those of its own call. `concurrence` takes
+one two-qubit state or a stack, and logs at DEBUG what it clamped, floored
+or clipped.
+"""
 
 from __future__ import annotations
 
@@ -16,6 +25,8 @@ from .measurement import ObservableTrace
 log = logging.getLogger(__name__)
 
 ENTANGLEMENT_THRESHOLD = 1e-4
+# spectrum values of sqrt(rho) rho_tilde sqrt(rho) below this are zero modes
+SPECTRUM_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -54,66 +65,119 @@ def split_loops(trace: ObservableTrace, grid: TimeGrid, qubit: int = 0) -> np.nd
 ORIGIN_CROSSING_FRACTION = 0.05
 
 
-def _shoelace(points: np.ndarray) -> float:
-    nxt = np.roll(points, -1, axis=0)
-    return 0.5 * float(np.sum(points[:, 0] * nxt[:, 1] - nxt[:, 0] * points[:, 1]))
-
-
-def _origin_lobes(points: np.ndarray, nxt: np.ndarray, extent: float) -> list[np.ndarray]:
-    """Cut the cycle into lobes at V sign changes that pass near the origin.
+def _origin_lobes(points: np.ndarray, nxt: np.ndarray,
+                  extents: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """Cut each loop of a (k, n, 2) stack into lobes at V sign changes that
+    pass near the origin.
 
     A pinched figure-eight self-crosses at the origin, so only crossings of
-    the V axis within ORIGIN_CROSSING_FRACTION of the loop ``extent`` (its
-    largest radius) count as cut points; crossings far from the origin
+    the V axis within ORIGIN_CROSSING_FRACTION of a loop's ``extents`` entry
+    (its largest radius) count as cut points; crossings far from the origin
     belong to an ordinary simple loop and must not be cut (cutting a concave
     boundary at arbitrary chords does not recompose its area). ``nxt`` is
-    the loop rolled by one point, so edge k runs from points[k] to nxt[k].
-    The interpolated V = 0 point of a qualifying edge joins both adjacent
-    lobes, making a two-cut split exact.
+    the stack rolled by one point along each loop, so edge e of loop j runs
+    from points[j, e] to nxt[j, e]. The interpolated V = 0 point of a
+    qualifying edge joins both adjacent lobes, making a two-cut split exact.
+    The sign changes of every loop are found at once; the near test is one
+    `math.hypot` per crossing, as numpy's hypot may round differently.
+
+    Returns the loop of each lobe, loops in order and each loop's lobes in
+    cut order, and the lobes grouped by point count: one (lobe numbers,
+    (g, count, 2) stack) pair per count. A loop with fewer than two near
+    crossings is left uncut and has no lobe here.
     """
-    edges = np.flatnonzero((points[:, 0] >= 0.0) != (nxt[:, 0] >= 0.0))
-    p, q = points[edges], nxt[edges]
+    n = points.shape[1]
+    loop_of, edges = np.nonzero((points[..., 0] >= 0.0) != (nxt[..., 0] >= 0.0))
+    p, q = points[loop_of, edges], nxt[loop_of, edges]
     crossings = p + (p[:, 0] / (p[:, 0] - q[:, 0]))[:, None] * (q - p)
-    limit = ORIGIN_CROSSING_FRACTION * extent
-    near = [k for k, (x, y) in enumerate(crossings.tolist()) if math.hypot(x, y) <= limit]
-    if len(near) < 2:
-        return [points]
-    cuts = edges[near]
-    starts = crossings[near]
-    stops = np.append(cuts[1:], cuts[0] + len(points))
-    ring = np.concatenate([points, points])
-    return [np.concatenate([start[None], ring[a + 1:b + 1], end[None]])
-            for a, b, start, end in zip(cuts.tolist(), stops.tolist(),
-                                        starts, np.roll(starts, -1, axis=0))]
+    limits = (ORIGIN_CROSSING_FRACTION * extents)[loop_of]
+    near = np.array([math.hypot(x, y) <= limit
+                     for (x, y), limit in zip(crossings.tolist(), limits.tolist())], dtype=bool)
+    near &= np.bincount(loop_of[near], minlength=len(points))[loop_of] >= 2
+    owner, cuts, starts = loop_of[near], edges[near], crossings[near]
+    if not len(owner):
+        return owner, []
+    # each lobe runs from its cut to the next cut of its loop; a loop's last
+    # lobe wraps around to the loop's first cut
+    last = np.append(owner[1:] != owner[:-1], True)
+    following = np.arange(1, len(cuts) + 1)
+    following[last] = np.flatnonzero(np.append(True, last[:-1]))
+    counts = cuts[following] + np.where(last, n, 0) - cuts + 2
+    groups = []
+    for count in set(counts.tolist()):
+        lobes = np.flatnonzero(counts == count)
+        rows = (cuts[lobes, None] + np.arange(1, count - 1)) % n
+        groups.append((lobes, np.concatenate(
+            [starts[lobes, None], points[owner[lobes, None], rows],
+             starts[following[lobes], None]], axis=1)))
+    return owner, groups
 
 
-def loop_metrics(points) -> LoopMetrics:
-    """Area, perimeter, form factor and pinch distance of a closed loop.
+def _shoelace_sums(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each polygon of a (g, count, 2) stack; each
+    row sums as numpy's 1-D sum of that polygon's terms does."""
+    return np.sum(points[..., 0] * nxt[..., 1] - nxt[..., 0] * points[..., 1], axis=1)
 
-    ``points`` holds the loop's (V, I) vertices, shape (n, 2), in order.
 
-    The area of a pinched (self-crossing) loop is the sum of the absolute
-    lobe areas, lobes being the arcs between near-origin sign changes of V;
-    a plain signed shoelace would cancel the two halves of the figure-eight.
-    The form factor 4*pi*area/perimeter^2 is 1 for a circle. A loop of zero
-    perimeter (V = I = 0 throughout, as for a state with no transverse Bloch
-    component) raises NumericsError, and a NaN or infinite point ValueError.
+def loop_metrics(points) -> LoopMetrics | list[LoopMetrics]:
+    """Area, perimeter, form factor and pinch distance of a closed loop, or
+    of each loop in a stack.
+
+    ``points`` holds one loop's (V, I) vertices in order, shape (n, 2), or a
+    (k, n, 2) stack of loops, such as `split_loops` returns; a stack gives a
+    list of k LoopMetrics, each equal bit for bit to that loop's own call.
+    One code path serves both, a single loop being a stack of one: the
+    perimeters, radii, extents, pinch distances and whole-loop shoelaces are
+    computed row by row over the stack, the lobes of every loop are cut in
+    one pass (`_origin_lobes`), and the lobes of each point count are summed
+    in one row reduction, which adds each row as numpy's 1-D sum does.
+
+    The area of a pinched (self-crossing) loop is the sum, in cut order, of
+    the absolute lobe areas, lobes being the arcs between near-origin sign
+    changes of V; a plain signed shoelace would cancel the two halves of the
+    figure-eight. The form factor 4*pi*area/perimeter^2 is 1 for a circle. A
+    loop whose perimeter is zero (V = I = 0 throughout, as for a state with
+    no transverse Bloch component) or whose square underflows to zero
+    raises NumericsError, and a NaN or infinite point ValueError. A stack
+    raises the error of its first bad loop's own call, with "period k"
+    (1-based) added.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 2 or pts.shape[-2] < 3:
         raise ValueError(f"loop needs at least 3 (V, I) points, got shape {pts.shape}")
-    if not np.isfinite(pts).all():
-        raise ValueError("loop points must be finite")
-    nxt = np.roll(pts, -1, axis=0)
-    edges = nxt - pts
-    perimeter = float(np.hypot(edges[:, 0], edges[:, 1]).sum())
-    if perimeter == 0.0:
-        raise NumericsError("degenerate loop with zero perimeter")
-    radii = np.hypot(pts[:, 0], pts[:, 1])
-    area = sum(abs(_shoelace(lobe)) for lobe in _origin_lobes(pts, nxt, float(radii.max())))
-    form = 4.0 * math.pi * area / perimeter ** 2
-    return LoopMetrics(area=area, perimeter=perimeter, form_factor=form,
-                       pinch_distance=float(radii.min()))
+    stack = pts[None] if pts.ndim == 2 else pts
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    n_finite = len(stack) if finite.all() else int(np.argmin(finite))
+    nxt = np.roll(stack, -1, axis=1)
+    edges = nxt[:n_finite] - stack[:n_finite]
+    perimeters = np.hypot(edges[..., 0], edges[..., 1]).sum(axis=1).tolist()
+    for k, perimeter in enumerate(perimeters):
+        if perimeter ** 2 == 0.0:
+            raise NumericsError(("degenerate loop with zero perimeter" if perimeter == 0.0
+                                 else f"loop perimeter {perimeter:.3e} underflows when squared")
+                                + _period(pts, k))
+    if n_finite < len(stack):
+        raise ValueError("loop points must be finite" + _period(pts, n_finite))
+    radii = np.hypot(stack[..., 0], stack[..., 1])
+    owner, groups = _origin_lobes(stack, nxt, radii.max(axis=1))
+    lobe_areas = np.empty(len(owner))
+    for lobes, polygons in groups:
+        lobe_areas[lobes] = _shoelace_sums(polygons, np.roll(polygons, -1, axis=1))
+    areas = np.abs(0.5 * _shoelace_sums(stack, nxt))
+    areas[owner] = 0.0  # a cut loop's area is its lobes' sum, in cut order, from 0
+    areas = areas.tolist()
+    for k, lobe_area in zip(owner.tolist(), np.abs(0.5 * lobe_areas).tolist()):
+        areas[k] += lobe_area
+    metrics = [LoopMetrics(area=area, perimeter=perimeter,
+                           form_factor=4.0 * math.pi * area / perimeter ** 2,
+                           pinch_distance=pinch)
+               for area, perimeter, pinch in zip(areas, perimeters, radii.min(axis=1).tolist())]
+    return metrics[0] if pts.ndim == 2 else metrics
+
+
+def _period(pts: np.ndarray, k: int) -> str:
+    """The suffix naming loop k of a stack as its period, empty for one loop."""
+    return f" (period {k + 1})" if pts.ndim == 3 else ""
 
 
 _FLIP_SIGNS = np.outer([-1.0, 1.0, 1.0, -1.0], [-1.0, 1.0, 1.0, -1.0])
@@ -138,7 +202,7 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise DimensionError(f"concurrence expects a 4x4 state, got {rho.shape}")
     require_density_matrix(rho, 4, context="concurrence input")
-    sqrt_rho = _psd_sqrt(rho)
+    sqrt_rho, evals = _psd_sqrt(rho)
     m = sqrt_rho @ _spin_flip(rho) @ sqrt_rho
     # in place, sparing a stack-sized temporary (dagger(m) is a copy, not a view)
     m += dagger(m)
@@ -146,10 +210,28 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     lams = np.linalg.eigvalsh(m)[..., ::-1]
     # the square root turns O(eps) spectral noise into O(1e-8); anything
     # below this floor is unresolvable and belongs to the zero modes
-    lams = np.sqrt(np.where(lams < 1e-14, 0.0, lams))
+    floored = lams < SPECTRUM_FLOOR
+    lams = np.sqrt(np.where(floored, 0.0, lams))
     c = lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]
+    if log.isEnabledFor(logging.DEBUG):
+        _log_interventions(evals, floored, c)
     c = np.clip(c, 0.0, 1.0)  # elementwise, and keeps NaN
     return float(c) if rho.ndim == 2 else c
+
+
+def _log_interventions(evals: np.ndarray, floored: np.ndarray, c: np.ndarray) -> None:
+    """One DEBUG record of what a `concurrence` call changed silently: the
+    negative eigenvalues of rho that `_psd_sqrt` clamped to 0 (with the most
+    negative one), the spectrum values floored to 0, and the concurrences
+    clipped to [0, 1]. Nothing is logged when all three counts are zero."""
+    clamped = np.count_nonzero(evals < 0.0)
+    n_floored = np.count_nonzero(floored)
+    clipped = np.count_nonzero((c < 0.0) | (c > 1.0))
+    if clamped or n_floored or clipped:
+        log.debug("concurrence of %d state(s): clamped %d negative eigenvalue(s) of rho "
+                  "(most negative %.3e), floored %d spectrum value(s) below %.0e, "
+                  "clipped %d value(s) to [0, 1]", c.size, clamped,
+                  min(float(evals.min()), 0.0), n_floored, SPECTRUM_FLOOR, clipped)
 
 
 def _spin_flip(rho: np.ndarray) -> np.ndarray:
@@ -165,11 +247,12 @@ def _spin_flip(rho: np.ndarray) -> np.ndarray:
     return flipped
 
 
-def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian state (or stack) through its eigenbasis."""
+def _psd_sqrt(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Square root of a Hermitian state (or stack) through its eigenbasis,
+    and the eigenvalues as `eigh` gave them, before the clamp."""
     evals, vecs = np.linalg.eigh(rho)
-    evals = np.where(evals < 0.0, 0.0, evals)  # clamp the >= -1e-10 tail
-    return (vecs * np.sqrt(evals)[..., None, :]) @ dagger(vecs)
+    clamped = np.where(evals < 0.0, 0.0, evals)  # clamp the >= -1e-10 tail
+    return (vecs * np.sqrt(clamped)[..., None, :]) @ dagger(vecs), evals
 
 
 @dataclass(frozen=True)

@@ -279,11 +279,15 @@ def run_coupled(init1: InitialState, init2: InitialState,
     """Digital trajectories of two coupled memristors, one per coupling spec.
 
     Each step damps both qubits independently (the Kronecker products of
-    the two qubits' Kraus operators, four terms, summed from the first on)
-    and then conjugates each trajectory by its own coupling gate A as
-    A^dag rho A, with A built once per spec. Everything but the gate is
-    shared: one kappa schedule per distinct profile and one Kraus stack
-    step all trajectories together. Returns the states as one read-only
+    the two qubits' Kraus operators, four terms, summed in order from the
+    first by one ``np.add.reduce``) and then conjugates each trajectory by
+    its own coupling gate A as A^dag rho A, with A built once per spec;
+    that product is written straight into the returned array. A step is
+    five numpy calls into buffers reused by every step (`_step_coupled`),
+    the same arithmetic as the term-by-term loop in the same order.
+    Everything but the gate is shared: one kappa schedule and one
+    ``damping_kraus`` call per distinct profile, and one Kraus stack, step
+    all trajectories together. Returns the states as one read-only
     (len(specs), n_steps+1, 4, 4) array; slice b is bit for bit the run
     with ``specs[b]`` alone, and each trajectory is validated on its own, so
     an error names the step as a lone run's would. Requires both profiles
@@ -293,29 +297,48 @@ def run_coupled(init1: InitialState, init2: InitialState,
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
     k1 = kappa_schedule(grid, p1)
     k2 = k1 if p2 == p1 else kappa_schedule(grid, p2)
-    rho0 = np.kron(init1.density_matrix(), init2.density_matrix())
+    kraus1 = ops.damping_kraus(k1)
+    kraus2 = kraus1 if k2 is k1 else ops.damping_kraus(k2)
     gates = np.array([dagger(ops.interaction_unitary(spec)) for spec in specs],
                      dtype=complex).reshape(-1, 4, 4)
-    gates_h = dagger(gates)
-    kraus1, kraus2 = ops.damping_kraus(k1), ops.damping_kraus(k2)
+    rhos = np.empty((len(gates), len(k1) + 1, 4, 4), dtype=complex)
+    rhos[:, 0] = np.broadcast_to(np.kron(init1.density_matrix(), init2.density_matrix()),
+                                 gates.shape)
+    # the stepping's operator stacks are freed on its return, before the
+    # validation allocates its own
+    _step_coupled(rhos.swapaxes(0, 1), kraus1, kraus2, gates)
+    for trajectory in rhos:
+        require_density_matrix(trajectory[1:], 4, context="coupled trajectory")
+    rhos.flags.writeable = False
+    return rhos
+
+
+def _step_coupled(states: np.ndarray, kraus1: np.ndarray, kraus2: np.ndarray,
+                  gates: np.ndarray) -> None:
+    """Fill states[1:] from states[0], one step at a time.
+
+    ``states[i]`` holds step i of every trajectory, ``kraus1`` and
+    ``kraus2`` are the two qubits' per-step Kraus stacks, and ``gates``
+    holds each trajectory's A^dag.
+    """
     # np.kron of every term pair as one broadcast multiply (same entries),
     # in the order e0, e1 (x) e0, e1; each step's (4, 1, 4, 4) operators
     # broadcast over the trajectories
     kraus = (kraus1[:, :, None, :, None, :, None]
              * kraus2[:, None, :, None, :, None, :]).reshape(-1, 4, 4, 4)[:, :, None]
     kraus_h = dagger(kraus)
-    rhos = np.empty((len(gates), len(kraus) + 1, 4, 4), dtype=complex)
-    rhos[:, 0] = rho = np.broadcast_to(rho0, gates.shape)
-    for i in range(len(kraus)):
-        terms = kraus[i] @ rho @ kraus_h[i]
-        # added one by one: a reduction over the terms does not keep -0.0
-        rho = terms[0] + terms[1] + terms[2] + terms[3]
-        rhos[:, i + 1] = rho = gates @ rho @ gates_h
-    del kraus, kraus_h  # freed before the validation allocates its own stacks
-    for trajectory in rhos:
-        require_density_matrix(trajectory[1:], 4, context="coupled trajectory")
-    rhos.flags.writeable = False
-    return rhos
+    gates_h = dagger(gates)
+    # each step's products and term sum go into these, reused step to step
+    half, terms = np.empty((2, 4, *gates.shape), dtype=complex)
+    damped, gated = np.empty((2, *gates.shape), dtype=complex)
+    for k, k_h, rho, out in zip(kraus, kraus_h, states[:-1], states[1:]):
+        np.matmul(k, rho, out=half)
+        np.matmul(half, k_h, out=terms)
+        # the terms summed in order, term 0 first; a -0.0 this loses never
+        # reaches a stored state, as the gate's products sum from +0.0
+        np.add.reduce(terms, axis=0, out=damped)
+        np.matmul(gates, damped, out=gated)
+        np.matmul(gated, gates_h, out=out)
 
 
 def _bessel_j_at_1(n: int) -> float:

@@ -80,8 +80,7 @@ def _analyse(config: RunConfig, parts: RunComponents, states: np.ndarray,
     times = parts.grid.times(parts.profile1.omega)
     trace = measurement.build_trace(states, parts.profiles, times, parts.shots,
                                     concurrence=conc)
-    metrics = tuple([analysis.loop_metrics(loop)
-                     for loop in analysis.split_loops(trace, parts.grid, qubit=q)]
+    metrics = tuple(analysis.loop_metrics(analysis.split_loops(trace, parts.grid, qubit=q))
                     for q in range(len(trace.qubits)))
     events = analysis.entanglement_events(trace.t, conc) if conc is not None else []
     return RunResult(config, trace, metrics, events)

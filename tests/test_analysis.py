@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,12 @@ from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD,
                                  _origin_lobes, _spin_flip, concurrence,
                                  entanglement_events, loop_metrics,
                                  split_loops)
+from qmemristor.config import apply_overrides
 from qmemristor.dynamics import TimeGrid
 from qmemristor.errors import DimensionError, NumericsError, StateError
 from qmemristor.measurement import ObservableTrace, QubitSeries
+from qmemristor.presets import PRESET_NAMES, preset
+from qmemristor.runner import execute
 
 from conftest import (COUPLED_PRESETS, STATE_KINDS, assert_same_bits, preset_trajectory,
                       random_density_matrix, random_state_stack, random_unitary)
@@ -175,20 +179,106 @@ def bits(metrics):
     return np.array(dataclasses.astuple(metrics)).tobytes()
 
 
+drawn_loops = figure_eights() | noisy_polygons() | zeroed_vertices() | crossings_at_the_cut_radius()
+
+
+@st.composite
+def loop_stacks(draw):
+    """A (k, n, 2) stack of drawn loops, each cut to, or cyclically repeated
+    up to, the point count of one of them."""
+    loops = draw(st.lists(drawn_loops, min_size=1, max_size=6))
+    n = len(draw(st.sampled_from(loops)))
+    return np.stack([np.resize(loop, (n, 2)) for loop in loops])
+
+
+def lobes_in_cut_order(loop):
+    """The lobes `_origin_lobes` cuts from one loop, in cut order, or the
+    loop itself when it is left uncut."""
+    extents = np.hypot(loop[:, 0], loop[:, 1]).max(keepdims=True)
+    owner, groups = _origin_lobes(loop[None], np.roll(loop, -1, axis=0)[None], extents)
+    lobes = [None] * len(owner)
+    for numbers, polygons in groups:
+        for k, polygon in zip(numbers.tolist(), polygons):
+            lobes[k] = polygon
+    return lobes or [loop]
+
+
 class TestOriginLobesMatchReference:
-    @given(loop=figure_eights() | noisy_polygons() | zeroed_vertices()
-           | crossings_at_the_cut_radius(),
-           scale=st.sampled_from([1.0, 1e-3, 1e3]))
+    @given(loop=drawn_loops, scale=st.sampled_from([1.0, 1e-3, 1e3]))
     @settings(max_examples=400, deadline=None)
     def test_lobes_and_metrics_bit_for_bit(self, loop, scale):
         loop = loop * scale
-        extent = float(np.hypot(loop[:, 0], loop[:, 1]).max())
-        lobes = _origin_lobes(loop, np.roll(loop, -1, axis=0), extent)
+        lobes = lobes_in_cut_order(loop)
         expected = reference_origin_lobes(loop)
         assert [lobe.shape for lobe in lobes] == [lobe.shape for lobe in expected]
         # byte equality: same values and the same sign bits on zeros
         assert [lobe.tobytes() for lobe in lobes] == [lobe.tobytes() for lobe in expected]
         assert bits(loop_metrics(loop)) == bits(reference_loop_metrics(loop))
+
+
+def corrupted(loop, kind):
+    """A copy of ``loop`` that `loop_metrics` must reject."""
+    loop = loop.copy()
+    if kind == "nan":
+        loop[len(loop) // 2, 0] = math.nan
+    elif kind == "inf":
+        loop[-1, 1] = -math.inf
+    elif kind == "zero_perimeter":
+        loop[:] = loop[0]
+    else:  # a perimeter near 1e-200, whose square underflows to zero
+        loop *= 1e-200
+    return loop
+
+
+class TestStackedLoopMetrics:
+    @given(stack=loop_stacks(), scale=st.sampled_from([1.0, 1e-3, 1e3]))
+    @settings(max_examples=300, deadline=None)
+    def test_stack_matches_reference_per_loop(self, stack, scale):
+        stack = stack * scale
+        metrics = loop_metrics(stack)
+        assert isinstance(metrics, list)
+        assert [bits(m) for m in metrics] == [bits(reference_loop_metrics(loop))
+                                              for loop in stack]
+
+    @given(stack=loop_stacks(),
+           bad=st.lists(st.tuples(st.integers(0, 5),
+                                  st.sampled_from(["nan", "inf", "zero_perimeter",
+                                                   "underflow"])),
+                        min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_first_bad_loop_is_named(self, stack, bad):
+        for k, kind in bad:
+            stack[k % len(stack)] = corrupted(stack[k % len(stack)], kind)
+        first = min(k % len(stack) for k, _ in bad)
+        with pytest.raises((ValueError, NumericsError)) as own:
+            loop_metrics(stack[first])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(type(own.value)) as stacked:
+                loop_metrics(stack)
+        assert str(stacked.value) == f"{own.value} (period {first + 1})"
+
+    @pytest.mark.parametrize("shots_mode", ["exact", "sampled"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_every_preset_loop(self, name, shots_mode):
+        cfg = apply_overrides(preset(name), shots_mode=shots_mode)
+        result = execute(cfg)
+        for q in range(len(result.trace.qubits)):
+            loops = split_loops(result.trace, cfg.validate().grid, qubit=q)
+            assert [bits(m) for m in result.metrics[q]] == [
+                bits(reference_loop_metrics(loop)) for loop in loops]
+
+    def test_one_loop_is_a_stack_of_one(self, rng):
+        loop = star_polygon(rng, 12)
+        assert loop_metrics(loop[None]) == [loop_metrics(loop)]
+
+    def test_empty_stack(self):
+        assert loop_metrics(np.zeros((0, 5, 2))) == []
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 3), (2, 2, 5, 2), (5,)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="at least 3"):
+            loop_metrics(np.ones(shape))
 
 
 class TestSplitLoops:
@@ -257,8 +347,17 @@ class TestLoopMetrics:
         assert m.form_factor == 0.0
 
     def test_degenerate_perimeter(self):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="^degenerate loop with zero perimeter$"):
             loop_metrics(polygon_loop([(1, 1), (1, 1), (1, 1)]))
+
+    def test_perimeter_whose_square_underflows(self):
+        # 3.4e-163 squared is below the smallest subnormal, so F would
+        # divide by zero; a trajectory that decays to rest gives such a loop
+        loop = polygon_loop([(0, 0), (1e-163, 0), (0, 1e-163)])
+        with pytest.raises(NumericsError, match=r"^loop perimeter 3\.414e-163 underflows"):
+            loop_metrics(loop)
+        with pytest.raises(NumericsError, match=r"squared \(period 2\)$"):
+            loop_metrics(np.stack([loop * 1e163, loop]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_point(self, bad):
@@ -397,6 +496,44 @@ class TestConcurrence:
         stack[2] = np.eye(4)
         with pytest.raises(StateError, match=r"concurrence input, step 3"):
             concurrence(stack)
+
+
+def bell_state():
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1 / math.sqrt(2)
+    return np.outer(psi, psi.conj())
+
+
+class TestConcurrenceInterventionLog:
+    """One DEBUG record per `concurrence` call that clamps, floors or clips."""
+
+    def records(self, caplog, rho):
+        with caplog.at_level(logging.DEBUG, logger="qmemristor.analysis"):
+            concurrence(rho)
+        return [r.getMessage() for r in caplog.records if r.name == "qmemristor.analysis"]
+
+    def test_clamped_eigenvalue_of_rho(self, caplog):
+        # passes validation (above -1e-10), then _psd_sqrt clamps it to 0
+        rho = np.diag([0.5 + 1e-12, 0.5, 0.0, -1e-12]).astype(complex)
+        [message] = self.records(caplog, rho)
+        assert "clamped 1 negative eigenvalue(s) of rho (most negative -1.000e-12)" in message
+
+    def test_floored_spectrum(self, caplog):
+        # |ee>: rho_tilde is |gg><gg|, so sqrt(rho) rho_tilde sqrt(rho) = 0
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        [message] = self.records(caplog, np.stack([rho, rho]))
+        assert message.startswith("concurrence of 2 state(s): clamped 0 ")
+        assert "floored 8 spectrum value(s) below 1e-14" in message
+
+    def test_clipped_concurrence(self, caplog):
+        # the maximally mixed state: l1 - l2 - l3 - l4 = -1/2, clipped to 0
+        [message] = self.records(caplog, np.eye(4, dtype=complex) / 4)
+        assert message.endswith("floored 0 spectrum value(s) below 1e-14, "
+                                "clipped 1 value(s) to [0, 1]")
+
+    def test_silent_when_nothing_is_changed(self, caplog):
+        werner = 0.9 * bell_state() + 0.1 * np.eye(4) / 4
+        assert self.records(caplog, werner) == []
 
 
 def reference_spin_flip(rho):

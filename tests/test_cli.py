@@ -296,6 +296,16 @@ class TestExitCodes:
             rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path)])
         assert rc == code
 
+    def test_loop_perimeter_that_squares_to_zero(self, tmp_path, capsys):
+        # the qubit has decayed to rest by period 2, whose loop perimeter,
+        # 2.7e-163, underflows to 0 when squared for the form factor
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(RunConfig(mode="single", a1=1.0, gamma0_1=133.0, periods=2,
+                                      steps_per_period=8, shots_mode="exact").to_text())
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "q")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical failure: loop perimeter 2.709e-163 underflows when squared (period 2)"]
+
     def test_default_single_config_is_a_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("mode = 'single'\n")
@@ -368,6 +378,16 @@ class TestLogLevel:
         assert ("DEBUG qmemristor.measurement: qubit 1 axis x: "
                 "clipped 0 of 61 p_up values to [0, 1]") in err
         assert any(line.startswith("INFO qmemristor.analysis: dropping") for line in err)
+
+    def test_debug_shows_concurrence_interventions(self, tmp_path, capsys):
+        coupled = ["run", "--preset", "fig9", "--exact", "--periods", "1",
+                   "--out", str(tmp_path)]
+        assert main(coupled) == 0
+        assert capsys.readouterr().err == ""
+        assert main(coupled + ["-v", "debug"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("DEBUG qmemristor.analysis: concurrence of 61 state(s)")
+                   for line in err) == 1
 
     def test_info_hides_debug_and_leaves_no_handler(self, tmp_path, capsys):
         assert main(self.RUN + ["--out", str(tmp_path), "--log-level", "INFO"]) == 0

@@ -642,6 +642,27 @@ couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),
                       st.sampled_from("xyz"), st.floats(-math.pi, math.pi))
 
 
+EXCITED, GROUND, TILTED = InitialState(0.0, 0.0), InitialState(math.pi / 2, 0.0), \
+    InitialState(0.7, 1.3)
+RATE = DecayProfile(0.3, 1.0)
+ROTATION = InteractionSpec("controlled_rotation", "y", 0.7)
+COUPLED_EDGE_CASES = {
+    "excited": (EXCITED, EXCITED, RATE, TimeGrid(2, 12), ROTATION),
+    "ground": (GROUND, GROUND, RATE, TimeGrid(2, 12), ROTATION),
+    "excited_ground": (EXCITED, GROUND, RATE, TimeGrid(2, 12), ROTATION),
+    "ground_excited": (GROUND, EXCITED, RATE, TimeGrid(2, 12), ROTATION),
+    "zero_rate": (TILTED, TILTED, DecayProfile(0.3, 1.0, constant_rate=0.0),
+                  TimeGrid(2, 12), ROTATION),
+    "shortest_grid": (TILTED, EXCITED, RATE, TimeGrid(1, 8), ROTATION),
+    # dt rounds to 0.0, so every kappa is +0.0 and every step the gate alone
+    "empty_steps": (TILTED, TILTED, DecayProfile(0.3, 1e308), TimeGrid(1, 30), ROTATION),
+    "kind_none": (TILTED, TILTED, RATE, TimeGrid(2, 12), InteractionSpec("none", "x", 0.7)),
+    **{f"{kind}_delta_0": (TILTED, EXCITED, RATE, TimeGrid(1, 12),
+                           InteractionSpec(kind, "x", 0.0))
+       for kind in ops.INTERACTION_KINDS},
+}
+
+
 class TestStepperMatchesReferenceLoops:
     @given(data=st.data(), init=initial_states, grid=grids,
            omega=st.floats(0.5, 2.0))
@@ -673,6 +694,15 @@ class TestStepperMatchesReferenceLoops:
         p2 = data.draw(profiles(omega))
         rhos = run_coupled(init1, init2, p1, p2, grid, [spec])
         assert_stack_identical(rhos[0], reference_coupled(init1, init2, p1, p2, grid, spec))
+
+    @pytest.mark.parametrize("init1, init2, p, grid, spec", COUPLED_EDGE_CASES.values(),
+                             ids=COUPLED_EDGE_CASES.keys())
+    def test_coupled_edge_cases(self, init1, init2, p, grid, spec):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rhos = run_coupled(init1, init2, p, p, grid, [spec])
+            reference = reference_coupled(init1, init2, p, p, grid, spec)
+        assert_stack_identical(rhos[0], reference)
 
     @given(data=st.data(), init1=initial_states, init2=initial_states,
            grid=grids, omega=st.floats(0.5, 2.0), spec=couplings,

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmemristor import ops
@@ -87,6 +87,9 @@ class TestConfigTextRoundTrip:
 
 class TestAcceptedConfigsRunOrFailFast:
     @given(cfg=run_configs())
+    # period 2 decays to rest, and its loop perimeter squares to zero
+    @example(cfg=RunConfig(name="prop", mode="single", a1=1.0, gamma0_1=133.0, periods=2,
+                           steps_per_period=8, shots_mode="exact"))
     @settings(max_examples=150, deadline=None)
     def test_finite_metrics_or_documented_error(self, cfg):
         with deadline(2.0):
