@@ -137,7 +137,8 @@ def loop_metrics(points) -> LoopMetrics | list[LoopMetrics]:
     changes of V; a plain signed shoelace would cancel the two halves of the
     figure-eight. The form factor 4*pi*area/perimeter^2 is 1 for a circle. A
     loop whose perimeter is zero (V = I = 0 throughout, as for a state with
-    no transverse Bloch component) or whose square underflows to zero
+    no transverse Bloch component), whose square underflows to zero, or
+    whose area or squared perimeter overflows (points near 1e154 or beyond)
     raises NumericsError, and a NaN or infinite point ValueError. A stack
     raises the error of its first bad loop's own call, with "period k"
     (1-based) added.
@@ -148,31 +149,50 @@ def loop_metrics(points) -> LoopMetrics | list[LoopMetrics]:
     stack = pts[None] if pts.ndim == 2 else pts
     finite = np.isfinite(stack).all(axis=(1, 2))
     n_finite = len(stack) if finite.all() else int(np.argmin(finite))
-    nxt = np.roll(stack, -1, axis=1)
-    edges = nxt[:n_finite] - stack[:n_finite]
-    perimeters = np.hypot(edges[..., 0], edges[..., 1]).sum(axis=1).tolist()
-    for k, perimeter in enumerate(perimeters):
-        if perimeter ** 2 == 0.0:
-            raise NumericsError(("degenerate loop with zero perimeter" if perimeter == 0.0
-                                 else f"loop perimeter {perimeter:.3e} underflows when squared")
-                                + _period(pts, k))
-    if n_finite < len(stack):
-        raise ValueError("loop points must be finite" + _period(pts, n_finite))
-    radii = np.hypot(stack[..., 0], stack[..., 1])
-    owner, groups = _origin_lobes(stack, nxt, radii.max(axis=1))
-    lobe_areas = np.empty(len(owner))
-    for lobes, polygons in groups:
-        lobe_areas[lobes] = _shoelace_sums(polygons, np.roll(polygons, -1, axis=1))
-    areas = np.abs(0.5 * _shoelace_sums(stack, nxt))
-    areas[owner] = 0.0  # a cut loop's area is its lobes' sum, in cut order, from 0
-    areas = areas.tolist()
-    for k, lobe_area in zip(owner.tolist(), np.abs(0.5 * lobe_areas).tolist()):
-        areas[k] += lobe_area
+    # the loops before the first non-finite one; a sum or product that
+    # overflows there is reported per loop below, not as a numpy warning
+    stack = stack[:n_finite]
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt = np.roll(stack, -1, axis=1)
+        edges = nxt - stack
+        perimeters = np.hypot(edges[..., 0], edges[..., 1]).sum(axis=1).tolist()
+        radii = np.hypot(stack[..., 0], stack[..., 1])
+        owner, groups = _origin_lobes(stack, nxt, radii.max(axis=1))
+        lobe_areas = np.empty(len(owner))
+        for lobes, polygons in groups:
+            lobe_areas[lobes] = _shoelace_sums(polygons, np.roll(polygons, -1, axis=1))
+        areas = np.abs(0.5 * _shoelace_sums(stack, nxt))
+        areas[owner] = 0.0  # a cut loop's area is its lobes' sum, in cut order, from 0
+        areas = areas.tolist()
+        for k, lobe_area in zip(owner.tolist(), np.abs(0.5 * lobe_areas).tolist()):
+            areas[k] += lobe_area
     metrics = [LoopMetrics(area=area, perimeter=perimeter,
-                           form_factor=4.0 * math.pi * area / perimeter ** 2,
+                           form_factor=_form_factor(area, perimeter, pts, k),
                            pinch_distance=pinch)
-               for area, perimeter, pinch in zip(areas, perimeters, radii.min(axis=1).tolist())]
+               for k, (area, perimeter, pinch)
+               in enumerate(zip(areas, perimeters, radii.min(axis=1).tolist()))]
+    if n_finite < len(finite):
+        raise ValueError("loop points must be finite" + _period(pts, n_finite))
     return metrics[0] if pts.ndim == 2 else metrics
+
+
+def _form_factor(area: float, perimeter: float, pts: np.ndarray, k: int) -> float:
+    """4*pi*area/perimeter^2 of loop k, or NumericsError naming its period
+    when the perimeter is zero, its square underflows, or the perimeter,
+    its square or the area overflows."""
+    if perimeter == 0.0:
+        raise NumericsError("degenerate loop with zero perimeter" + _period(pts, k))
+    try:
+        squared = perimeter ** 2
+    except OverflowError:  # a float power raises where a product gives inf
+        squared = math.inf
+    if squared == 0.0:
+        raise NumericsError(f"loop perimeter {perimeter:.3e} underflows when squared"
+                            + _period(pts, k))
+    if not (math.isfinite(squared) and math.isfinite(area)):
+        raise NumericsError(f"loop overflows: area {area:.3e}, squared perimeter {squared:.3e}"
+                            + _period(pts, k))
+    return 4.0 * math.pi * area / squared
 
 
 def _period(pts: np.ndarray, k: int) -> str:

@@ -19,6 +19,7 @@ checked against routes that share none of its code.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -29,6 +30,8 @@ import numpy as np
 from . import ops
 from .errors import IntegrationError
 from .linalg import dagger, require_density_matrix
+
+log = logging.getLogger(__name__)
 
 STEPS_PER_PERIOD_FLOOR = 8
 QUAD_TOL = 1e-10
@@ -231,7 +234,9 @@ def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
 
     A step spans at most an eighth of a period, under `_decay_integral`'s
     quarter-period cap, so each step is one panel and the whole schedule is
-    one `_panel_integrals` call with tolerance QUAD_TOL.
+    one `_panel_integrals` call with tolerance QUAD_TOL. Steps that are
+    empty because dt rounds to 0 get kappa +0.0, and one DEBUG record counts
+    them.
     """
     times = grid.times(p.omega)
     steps = np.diff(times)
@@ -240,7 +245,12 @@ def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
     else:
         kappas = -0.5 * _panel_integrals(times[:-1], times[1:], p, QUAD_TOL)
     # an omega so large that dt rounds to 0.0 gives empty steps, whose kappa is +0.0
-    kappas[steps == 0.0] = 0.0
+    empty = steps == 0.0
+    n_empty = np.count_nonzero(empty)
+    if n_empty:
+        kappas[empty] = 0.0
+        log.debug("kappa schedule: %d of %d step(s) are empty (dt rounds to 0 at "
+                  "omega=%g); their kappa is +0.0", n_empty, steps.size, p.omega)
     return kappas
 
 

@@ -10,14 +10,18 @@ Exact components come from two entries of each reduced state; shot emulation
 draws a binomial count per (time step, axis) from their outcome
 probability, with an independent, deterministically derived RNG stream per
 point so that serial and parallel evaluation coincide. Point i of a series
-draws from ``default_rng(SeedSequence([seed, *stream, i, axis]))``; one
+draws from ``default_rng(SeedSequence([seed, *stream, i, axis]))``. One
 ``sampled_expectation`` call derives every point's PCG64 state of a series
-at once, with numpy's SeedSequence hash vectorized over i, and draws them
-from one reused Generator.
+at once, as a uint64 table: numpy's SeedSequence hash vectorized over i,
+then PCG64's 128-bit seeding step on 64-bit limbs. It draws every point
+from one Generator, whose {state, inc} words it finds through the public
+``ctypes.state_address``, checks against the public state getter, and then
+overwrites with each point's table row before numpy's own ``binomial``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import math
 import operator
@@ -43,7 +47,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -134,17 +138,19 @@ def _mix(x, y):
     return result ^ result >> _XSHIFT
 
 
-def _pcg64_states(entropy: Sequence[int | np.ndarray],
-                  n_points: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of ``default_rng(SeedSequence(words))`` per point.
+def _pcg64_states(entropy: Sequence[int | np.ndarray], n_points: int) -> np.ndarray:
+    """PCG64 state of ``default_rng(SeedSequence(words))`` per point, as an
+    (n_points, 4) uint64 table of (state low, state high, inc low, inc high).
 
     ``entropy`` is the word list of ``_entropy_words`` for ``n_points``
     points. Its words are mixed into a pool of 4 as SeedSequence does,
     ``generate_state(4, uint64)`` reads the pool out, and PCG64's
-    ``pcg_setseq_128_srandom`` seeds from the four words. Every product is
-    cut to 32 bits, so int words are hashed once for all points and uint32
-    arrays wrap as in C, which the hash is built on; that wrap is not
-    reported as an overflow.
+    ``pcg_setseq_128_srandom`` seeds from the four words: inc = 2w + 1 and
+    state = (inc + seed) * mult + inc mod 2**128, one LCG step. Every hash
+    product is cut to 32 bits, so int words are hashed once for all points
+    and uint32 arrays wrap as in C, which the hash is built on; that wrap is
+    not reported as an overflow. The 128-bit seeding is done on uint64 limb
+    arrays (`_add128`, `_mul128`), whose wrap is the arithmetic mod 2**64.
     """
     hashmix = _hasher(_INIT_A, _MULT_A)
     with np.errstate(over="ignore"):
@@ -157,15 +163,76 @@ def _pcg64_states(entropy: Sequence[int | np.ndarray],
             for dst in range(_POOL_SIZE):
                 pool[dst] = _mix(pool[dst], hashmix(word))
         output = _hasher(_INIT_B, _MULT_B)
-        words = [output(pool[k % _POOL_SIZE]) for k in range(8)]
-    states = []
-    columns = (w.tolist() if isinstance(w, np.ndarray) else [w] * n_points for w in words)
-    for w in zip(*columns):
-        # generate_state's uint64 words are little-endian pairs of uint32 words
-        seed = (w[0] | w[1] << 32) << 64 | w[2] | w[3] << 32
-        inc = (((w[4] | w[5] << 32) << 64 | w[6] | w[7] << 32) << 1 | 1) & _MASK128
-        states.append((((inc + seed) * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+        words = np.empty((8, n_points), dtype=np.uint64)
+        for k in range(8):
+            words[k] = output(pool[k % _POOL_SIZE])
+    # generate_state's uint64 words are little-endian pairs of uint32 words:
+    # the seed is (high, low) = (pairs[0], pairs[1]), the increment's
+    # source (pairs[2], pairs[3])
+    pairs = words[0::2] | words[1::2] << 32
+    inc_hi, inc_lo = pairs[2] << 1 | pairs[3] >> 63, pairs[3] << 1 | 1
+    hi, lo = _mul128(*_add128(inc_hi, inc_lo, pairs[0], pairs[1]), _PCG_MULT)
+    table = np.empty((n_points, 4), dtype=np.uint64)
+    table[:, 1], table[:, 0] = _add128(hi, lo, inc_hi, inc_lo)
+    table[:, 2], table[:, 3] = inc_lo, inc_hi
+    return table
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    """(high, low) uint64 limbs of a + b mod 2**128; the low sum carries
+    exactly when it wrapped below an addend."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _mul128(hi, lo, factor: int):
+    """(high, low) uint64 limbs of (hi, lo) * factor mod 2**128.
+
+    The low limbs' full 128-bit product comes from their 32-bit halves, whose
+    four products are exact in uint64; the cross terms lo * factor_high and
+    hi * factor_low only reach the high limb, so they wrap mod 2**64.
+    """
+    f_hi, f_lo = factor >> 64, factor & _MASK64
+    x0, x1 = lo & _MASK32, lo >> 32
+    y0, y1 = f_lo & _MASK32, f_lo >> 32
+    p00, p01, p10 = x0 * y0, x0 * y1, x1 * y0
+    middle = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    lo_product_hi = x1 * y1 + (p01 >> 32) + (p10 >> 32) + (middle >> 32)
+    return lo_product_hi + lo * f_hi + hi * f_lo, lo * f_lo
+
+
+# the column orders of a `_pcg64_states` table that match numpy's 128-bit
+# words in memory: a native __uint128_t (low word first), or the emulated
+# struct {high, low} of a compiler without one
+_PCG64_LAYOUTS = ([0, 1, 2, 3], [1, 0, 3, 2])
+
+
+def _pcg64_state_words(bit_generator: np.random.PCG64) -> tuple[np.ndarray, list[int]]:
+    """The {state, inc} words of a PCG64 as one writable 32-byte item, and
+    the `_PCG64_LAYOUTS` column order that a state table needs to be copied
+    into it.
+
+    ``bit_generator.ctypes.state_address`` is numpy's ``pcg64_state``,
+    whose first member points to the ``pcg64_random_t`` {state, inc} and
+    whose second, ``has_uint32``, must be 0. The four raw words are read and
+    compared with what the public ``state`` getter reports, which tells the
+    layouts apart; words that match no layout raise RuntimeError, and
+    nothing has been written. The view is valid while ``bit_generator``
+    lives.
+    """
+    address = bit_generator.ctypes.state_address
+    struct = ctypes.c_void_p.from_address(address).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(struct), dtype=np.uint64)
+    has_uint32 = ctypes.c_int.from_address(address + ctypes.sizeof(ctypes.c_void_p)).value
+    public = bit_generator.state
+    state, inc = public["state"]["state"], public["state"]["inc"]
+    expected = np.array([state & _MASK64, state >> 64, inc & _MASK64, inc >> 64], dtype=np.uint64)
+    for order in _PCG64_LAYOUTS:
+        if np.array_equal(words, expected[order]) and has_uint32 == public["has_uint32"] == 0:
+            return words.view("V32"), order
+    raise RuntimeError(f"PCG64 state words {words.tolist()} (has_uint32 {has_uint32}) match no "
+                       f"known layout of the reported state {public['state']} "
+                       f"(has_uint32 {public['has_uint32']})")
 
 
 def sampled_expectation(exact, axis: str, cfg: ShotConfig,
@@ -185,16 +252,17 @@ def sampled_expectation(exact, axis: str, cfg: ShotConfig,
         raise ValueError(f"exact must be a scalar or a 1-D series, got shape {values.shape}")
     index = None if values.ndim == 0 else np.arange(values.size)
     p_up = np.clip(0.5 * (1.0 + values.reshape(-1)), 0.0, 1.0)
-    states = _pcg64_states(_entropy_words((cfg.seed, *stream), index, _AXIS_INDEX[axis]),
-                           p_up.size)
-    # one Generator for every point: each draw starts from its own state, and
-    # the binomial's cached setup depends only on (shots, p)
+    table = _pcg64_states(_entropy_words((cfg.seed, *stream), index, _AXIS_INDEX[axis]),
+                          p_up.size)
+    # one Generator for every point: each draw starts from its own state,
+    # copied as one 32-byte item into the verified words, and the binomial's
+    # cached setup depends only on (shots, p)
     gen = np.random.Generator(np.random.PCG64(0))
+    words, order = _pcg64_state_words(gen.bit_generator)
     counts = []
-    for (state, inc), p in zip(states, p_up.tolist()):
-        gen.bit_generator.state = {"bit_generator": "PCG64",
-                                   "state": {"state": state, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+    items = np.ascontiguousarray(table[:, order]).view("V32")[:, 0]
+    for state, p in zip(items, p_up.tolist()):
+        words[0] = state
         counts.append(gen.binomial(cfg.shots, p))
     estimate = 2.0 * np.array(counts, dtype=np.int64) / cfg.shots - 1.0
     return float(estimate[0]) if index is None else estimate

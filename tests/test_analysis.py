@@ -225,6 +225,8 @@ def corrupted(loop, kind):
         loop[-1, 1] = -math.inf
     elif kind == "zero_perimeter":
         loop[:] = loop[0]
+    elif kind == "overflow":  # a perimeter near 1e200, whose square overflows
+        loop *= 1e200
     else:  # a perimeter near 1e-200, whose square underflows to zero
         loop *= 1e-200
     return loop
@@ -243,12 +245,14 @@ class TestStackedLoopMetrics:
     @given(stack=loop_stacks(),
            bad=st.lists(st.tuples(st.integers(0, 5),
                                   st.sampled_from(["nan", "inf", "zero_perimeter",
-                                                   "underflow"])),
+                                                   "underflow", "overflow"])),
                         min_size=1, max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_first_bad_loop_is_named(self, stack, bad):
-        for k, kind in bad:
-            stack[k % len(stack)] = corrupted(stack[k % len(stack)], kind)
+        # each loop corrupted once, by its last kind: an overflow and an
+        # underflow in turn would scale a loop back to a good one
+        for k, kind in {k % len(stack): kind for k, kind in bad}.items():
+            stack[k] = corrupted(stack[k], kind)
         first = min(k % len(stack) for k, _ in bad)
         with pytest.raises((ValueError, NumericsError)) as own:
             loop_metrics(stack[first])
@@ -358,6 +362,20 @@ class TestLoopMetrics:
             loop_metrics(loop)
         with pytest.raises(NumericsError, match=r"squared \(period 2\)$"):
             loop_metrics(np.stack([loop * 1e163, loop]))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e308])
+    def test_overflowing_loop(self, scale):
+        # near 1e155 the perimeter's square overflows, near 1e308 the
+        # perimeter and the shoelace themselves: either is a NumericsError,
+        # never a bare OverflowError, a numpy warning or a NaN form factor
+        loop = polygon_loop([(0, 0), (scale, 0), (0, scale)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError,
+                               match=r"^loop overflows: area inf, squared perimeter inf$"):
+                loop_metrics(loop)
+            with pytest.raises(NumericsError, match=r"^loop overflows: .* \(period 2\)$"):
+                loop_metrics(np.stack([loop / scale, loop]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_point(self, bad):

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 import sys
 import warnings
@@ -44,6 +45,27 @@ class TestDecayRate:
     def test_always_positive(self, rng):
         p = DecayProfile(0.7, 2.3)
         assert all(decay_rate(t, p) > 0 for t in rng.uniform(0, 100, size=500))
+
+
+class TestKappaScheduleEmptyStepLog:
+    """One DEBUG record per `kappa_schedule` call that zeroes empty steps."""
+
+    def records(self, caplog, grid, p):
+        with caplog.at_level(logging.DEBUG, logger="qmemristor.dynamics"):
+            kappas = kappa_schedule(grid, p)
+        return kappas, [r.getMessage() for r in caplog.records
+                        if r.name == "qmemristor.dynamics"]
+
+    def test_empty_steps_are_counted(self, caplog):
+        # dt rounds to 0.0 at omega = 1e308, so all 30 steps are empty
+        kappas, [message] = self.records(caplog, TimeGrid(1, 30), DecayProfile(0.3, 1e308))
+        assert message == ("kappa schedule: 30 of 30 step(s) are empty (dt rounds to 0 at "
+                           "omega=1e+308); their kappa is +0.0")
+        assert kappas.tobytes() == np.zeros(30).tobytes()
+
+    def test_ordinary_schedule_logs_nothing(self, caplog):
+        _, messages = self.records(caplog, TimeGrid(2, 12), FIG4_PROFILE)
+        assert messages == []
 
 
 class TestKappa:

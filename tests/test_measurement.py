@@ -196,12 +196,55 @@ class TestBulkStreams:
         # numpy splits each int into little-endian uint32 words, 0 into [0]
         index = np.array([0, 1, 2 ** 31, 2 ** 32 - 1])
         words = measurement._entropy_words((seed, 0, 2 ** 32 + 5), index, 1)
-        states = measurement._pcg64_states(words, index.size)
+        table = measurement._pcg64_states(words, index.size)
+        assert table.shape == (index.size, 4) and table.dtype == np.uint64
         for j, i in enumerate(index.tolist()):
             column = [w[j] if isinstance(w, np.ndarray) else w for w in words]
             assert column == seed_words + [0, 5, 1, i, 1]
             pcg = np.random.PCG64(np.random.SeedSequence([seed, 0, 2 ** 32 + 5, i, 1]))
-            assert states[j] == (pcg.state["state"]["state"], pcg.state["state"]["inc"])
+            state_lo, state_hi, inc_lo, inc_hi = table[j].tolist()
+            assert state_lo | state_hi << 64 == pcg.state["state"]["state"]
+            assert inc_lo | inc_hi << 64 == pcg.state["state"]["inc"]
+
+    @given(words=st.lists(st.lists(st.integers(0, 2 ** 64 - 1), min_size=4, max_size=4),
+                          min_size=1, max_size=8))
+    @example(words=[[2 ** 64 - 1] * 4])
+    @example(words=[[2 ** 64 - 1, 2 ** 64 - 1, 0, 2 ** 64 - 1], [0, 0, 0, 0]])
+    @settings(max_examples=300, deadline=None)
+    def test_limb_seeding_matches_python_ints(self, words):
+        # state = (inc + seed) * mult + inc mod 2**128 on uint64 limbs, with
+        # all-ones words among the examples so every carry is taken
+        seed_hi, seed_lo, inc_hi, inc_lo = np.array(words, dtype=np.uint64).T
+        hi, lo = measurement._mul128(*measurement._add128(inc_hi, inc_lo, seed_hi, seed_lo),
+                                     measurement._PCG_MULT)
+        hi, lo = measurement._add128(hi, lo, inc_hi, inc_lo)
+        for (s_hi, s_lo, i_hi, i_lo), high, low in zip(words, hi.tolist(), lo.tolist()):
+            seed, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+            assert low | high << 64 == ((inc + seed) * measurement._PCG_MULT + inc) % 2 ** 128
+
+    def test_unrecognized_state_layout_raises_before_any_write(self, monkeypatch):
+        # a PCG64 whose public getter misreports its state: the words in
+        # memory match no layout, so no state may be written or drawn from
+        made = []
+
+        class Misreporting(np.random.PCG64):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+            @property
+            def state(self):
+                reported = super().state
+                reported["state"]["state"] ^= 1
+                return reported
+
+        monkeypatch.setattr(np.random, "PCG64", Misreporting)
+        with pytest.raises(RuntimeError, match="match no known layout"):
+            sampled_expectation(np.array([0.1, 0.2]), "x", sampled(3), (0,))
+        monkeypatch.undo()
+        [bit_generator] = made
+        assert super(Misreporting, bit_generator).state["state"] == \
+            np.random.PCG64(0).state["state"]
 
     def test_wide_point_index_is_rejected(self):
         # numpy gives an index of 2**32 or more two entropy words, which a

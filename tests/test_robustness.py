@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmemristor import ops
@@ -55,19 +55,12 @@ def run_configs(name=st.just("prop")):
     )
 
 
-def accepted(cfg):
-    try:
-        cfg.validate()
-    except ConfigError:
-        return False
-    return True
-
-
 class TestConfigTextRoundTrip:
     @given(cfg=run_configs(name=st.text()))
     @settings(max_examples=200, deadline=None)
     def test_text_form_is_lossless(self, cfg):
-        assume(accepted(cfg))
+        # config_from_text parses without validating, so every drawn config,
+        # accepted or not, must come back equal
         assert config_from_text(cfg.to_text()) == cfg
 
     @pytest.mark.parametrize("name", ["a#b=c", "it's", 'say "hi"', "back\\slash",
