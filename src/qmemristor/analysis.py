@@ -2,11 +2,11 @@
 
 `split_loops` cuts a trace into one (V, I) loop per drive period, and
 `loop_metrics` measures a whole (n_loops, n, 2) stack of them in one pass:
-row-wise arrays for the perimeters, radii and shoelaces, one search for
-every loop's near-origin crossings, and one row reduction per lobe length,
-each loop's metrics bit for bit those of its own call. `concurrence` takes
-one two-qubit state or a stack, and logs at DEBUG what it clamped, floored
-or clipped.
+row-wise arrays for the perimeters, radii and shoelace terms, one search
+for every loop's near-origin crossings, and every lobe's area from running
+sums of its loop's terms, each loop's metrics bit for bit those of its own
+call. `concurrence` takes one two-qubit state or a stack, and logs at DEBUG
+what it clamped, floored or clipped.
 """
 
 from __future__ import annotations
@@ -65,58 +65,56 @@ def split_loops(trace: ObservableTrace, grid: TimeGrid, qubit: int = 0) -> np.nd
 ORIGIN_CROSSING_FRACTION = 0.05
 
 
-def _origin_lobes(points: np.ndarray, nxt: np.ndarray,
-                  extents: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+def _lobe_areas(points: np.ndarray, nxt: np.ndarray, terms: np.ndarray,
+                extents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cut each loop of a (k, n, 2) stack into lobes at V sign changes that
-    pass near the origin.
+    pass near the origin, and measure each lobe.
 
     A pinched figure-eight self-crosses at the origin, so only crossings of
     the V axis within ORIGIN_CROSSING_FRACTION of a loop's ``extents`` entry
-    (its largest radius) count as cut points; crossings far from the origin
-    belong to an ordinary simple loop and must not be cut (cutting a concave
-    boundary at arbitrary chords does not recompose its area). ``nxt`` is
-    the stack rolled by one point along each loop, so edge e of loop j runs
-    from points[j, e] to nxt[j, e]. The interpolated V = 0 point of a
-    qualifying edge joins both adjacent lobes, making a two-cut split exact.
-    The sign changes of every loop are found at once; the near test is one
-    `math.hypot` per crossing, as numpy's hypot may round differently.
+    (its largest radius) cut it; crossings far from the origin belong to an
+    ordinary simple loop and must not be cut (cutting a concave boundary at
+    arbitrary chords does not recompose its area). Edge e of loop j runs
+    from points[j, e] to nxt[j, e], with shoelace term terms[j, e].
 
-    Returns the loop of each lobe, loops in order and each loop's lobes in
-    cut order, and the lobes grouped by point count: one (lobe numbers,
-    (g, count, 2) stack) pair per count. A loop with fewer than two near
-    crossings is left uncut and has no lobe here.
+    The lobe from cut edge a to its loop's next cut b is the polygon start,
+    P[a+1], ..., P[b], end, start and end being the two edges' V = 0 points
+    (each shared by two lobes, so a two-cut split is exact). Its shoelace
+    sums cross(start, P[a+1]), the interior edges as a difference of the
+    loop's running term sums (plus the whole loop's sum when the lobe wraps
+    past the loop's end), cross(P[b], end) and cross(end, start). Returns
+    the loop of each lobe and its absolute area, loops in order and each
+    loop's lobes in cut order; a loop with fewer than two near crossings is
+    uncut and has no lobe.
     """
     n = points.shape[1]
     loop_of, edges = np.nonzero((points[..., 0] >= 0.0) != (nxt[..., 0] >= 0.0))
     p, q = points[loop_of, edges], nxt[loop_of, edges]
     crossings = p + (p[:, 0] / (p[:, 0] - q[:, 0]))[:, None] * (q - p)
     limits = (ORIGIN_CROSSING_FRACTION * extents)[loop_of]
-    near = np.array([math.hypot(x, y) <= limit
-                     for (x, y), limit in zip(crossings.tolist(), limits.tolist())], dtype=bool)
+    near = np.hypot(crossings[:, 0], crossings[:, 1]) <= limits
     near &= np.bincount(loop_of[near], minlength=len(points))[loop_of] >= 2
     owner, cuts, starts = loop_of[near], edges[near], crossings[near]
     if not len(owner):
-        return owner, []
+        return owner, np.zeros(0)
     # each lobe runs from its cut to the next cut of its loop; a loop's last
     # lobe wraps around to the loop's first cut
-    last = np.append(owner[1:] != owner[:-1], True)
     following = np.arange(1, len(cuts) + 1)
-    following[last] = np.flatnonzero(np.append(True, last[:-1]))
-    counts = cuts[following] + np.where(last, n, 0) - cuts + 2
-    groups = []
-    for count in set(counts.tolist()):
-        lobes = np.flatnonzero(counts == count)
-        rows = (cuts[lobes, None] + np.arange(1, count - 1)) % n
-        groups.append((lobes, np.concatenate(
-            [starts[lobes, None], points[owner[lobes, None], rows],
-             starts[following[lobes], None]], axis=1)))
-    return owner, groups
+    wraps = np.searchsorted(owner, owner, side="right") == following
+    following[wraps] = np.searchsorted(owner, owner[wraps])
+    ends, nexts = starts[following], cuts[following]
+    running = np.zeros((len(points), n + 1))
+    np.cumsum(terms, axis=1, out=running[:, 1:])
+    interior = running[owner, nexts] - running[owner, cuts + 1]
+    interior += np.where(wraps, running[owner, n], 0.0)
+    twice = (_cross(starts, nxt[owner, cuts]) + interior
+             + _cross(points[owner, nexts], ends) + _cross(ends, starts))
+    return owner, np.abs(0.5 * twice)
 
 
-def _shoelace_sums(points: np.ndarray, nxt: np.ndarray) -> np.ndarray:
-    """Twice the signed area of each polygon of a (g, count, 2) stack; each
-    row sums as numpy's 1-D sum of that polygon's terms does."""
-    return np.sum(points[..., 0] * nxt[..., 1] - nxt[..., 0] * points[..., 1], axis=1)
+def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The shoelace term p.x * q.y - q.x * p.y of each (p, q) pair."""
+    return p[..., 0] * q[..., 1] - q[..., 0] * p[..., 1]
 
 
 def loop_metrics(points) -> LoopMetrics | list[LoopMetrics]:
@@ -127,10 +125,12 @@ def loop_metrics(points) -> LoopMetrics | list[LoopMetrics]:
     (k, n, 2) stack of loops, such as `split_loops` returns; a stack gives a
     list of k LoopMetrics, each equal bit for bit to that loop's own call.
     One code path serves both, a single loop being a stack of one: the
-    perimeters, radii, extents, pinch distances and whole-loop shoelaces are
-    computed row by row over the stack, the lobes of every loop are cut in
-    one pass (`_origin_lobes`), and the lobes of each point count are summed
-    in one row reduction, which adds each row as numpy's 1-D sum does.
+    perimeters, radii, extents, pinch distances and shoelace terms are
+    computed row by row over the stack, and the lobes of every loop are cut
+    and measured in one pass (`_lobe_areas`). An uncut loop's area is the
+    1-D sum of its terms; a lobe's interior is a difference of running sums,
+    so a lobe agrees with its own polygon's shoelace sum to rounding, not
+    bit for bit.
 
     The area of a pinched (self-crossing) loop is the sum, in cut order, of
     the absolute lobe areas, lobes being the arcs between near-origin sign
@@ -157,20 +157,16 @@ def loop_metrics(points) -> LoopMetrics | list[LoopMetrics]:
         edges = nxt - stack
         perimeters = np.hypot(edges[..., 0], edges[..., 1]).sum(axis=1).tolist()
         radii = np.hypot(stack[..., 0], stack[..., 1])
-        owner, groups = _origin_lobes(stack, nxt, radii.max(axis=1))
-        lobe_areas = np.empty(len(owner))
-        for lobes, polygons in groups:
-            lobe_areas[lobes] = _shoelace_sums(polygons, np.roll(polygons, -1, axis=1))
-        areas = np.abs(0.5 * _shoelace_sums(stack, nxt))
-        areas[owner] = 0.0  # a cut loop's area is its lobes' sum, in cut order, from 0
-        areas = areas.tolist()
-        for k, lobe_area in zip(owner.tolist(), np.abs(0.5 * lobe_areas).tolist()):
-            areas[k] += lobe_area
+        terms = _cross(stack, nxt)
+        owner, lobe_areas = _lobe_areas(stack, nxt, terms, radii.max(axis=1))
+        areas = np.abs(0.5 * terms.sum(axis=1))
+        # a cut loop's area is its lobes' sum, in cut order, from 0
+        areas[owner] = np.bincount(owner, lobe_areas, minlength=len(stack))[owner]
     metrics = [LoopMetrics(area=area, perimeter=perimeter,
                            form_factor=_form_factor(area, perimeter, pts, k),
                            pinch_distance=pinch)
                for k, (area, perimeter, pinch)
-               in enumerate(zip(areas, perimeters, radii.min(axis=1).tolist()))]
+               in enumerate(zip(areas.tolist(), perimeters, radii.min(axis=1).tolist()))]
     if n_finite < len(finite):
         raise ValueError("loop points must be finite" + _period(pts, n_finite))
     return metrics[0] if pts.ndim == 2 else metrics
@@ -286,7 +282,9 @@ def entanglement_events(t, c) -> list[EntanglementEvent]:
 
     ``c[k]`` is the concurrence at time ``t[k]``. A death is a downward
     crossing of the threshold sustained for at least two consecutive
-    samples; a birth is the next upward crossing after a death.
+    samples, or a downward crossing at the last sample, which no later
+    sample can show to be a one-sample dip; a birth is the next upward
+    crossing after a death.
     """
     t = np.asarray(t, dtype=float).tolist()
     c = np.asarray(c, dtype=float).tolist()

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from qmemristor import ops
 from qmemristor.analysis import (ENTANGLEMENT_THRESHOLD,
-                                 ORIGIN_CROSSING_FRACTION, LoopMetrics,
-                                 _origin_lobes, _spin_flip, concurrence,
-                                 entanglement_events, loop_metrics,
-                                 split_loops)
+                                 ORIGIN_CROSSING_FRACTION, EntanglementEvent,
+                                 LoopMetrics, _lobe_areas, _spin_flip,
+                                 concurrence, entanglement_events,
+                                 loop_metrics, split_loops)
 from qmemristor.config import apply_overrides
 from qmemristor.dynamics import TimeGrid
 from qmemristor.errors import DimensionError, NumericsError, StateError
@@ -89,7 +89,8 @@ def reference_crossing_point(points, edge_start):
 
 def reference_origin_lobes(points):
     """The lobe cutter written edge by edge and point by point: the reference
-    that the array form in `analysis._origin_lobes` must match bit for bit."""
+    whose lobes `analysis._lobe_areas` must find, each lobe's area to within
+    `rounding_bound`."""
     v = points[:, 0]
     extent = float(np.hypot(points[:, 0], points[:, 1]).max())
     sign = np.where(v >= 0.0, 1, -1)
@@ -112,13 +113,16 @@ def reference_origin_lobes(points):
     return lobes
 
 
-def reference_loop_metrics(points):
-    """Loop metrics from the reference lobes, each shoelace rolling x and y
-    apart and each radius taken twice, as the per-edge cutter was used."""
-    def shoelace(lobe):
-        x, y = lobe[:, 0], lobe[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def shoelace(lobe):
+    """Signed area of one polygon as numpy's 1-D sum of its terms, rolling x
+    and y apart."""
+    x, y = lobe[:, 0], lobe[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
+
+def reference_loop_metrics(points):
+    """Loop metrics from the reference lobes, each radius taken twice, as the
+    per-edge cutter was used."""
     edges = np.roll(points, -1, axis=0) - points
     perimeter = float(np.hypot(edges[:, 0], edges[:, 1]).sum())
     area = sum(abs(shoelace(lobe)) for lobe in reference_origin_lobes(points))
@@ -191,29 +195,101 @@ def loop_stacks(draw):
     return np.stack([np.resize(loop, (n, 2)) for loop in loops])
 
 
-def lobes_in_cut_order(loop):
-    """The lobes `_origin_lobes` cuts from one loop, in cut order, or the
-    loop itself when it is left uncut."""
+def lobe_areas(loop):
+    """The lobe areas `_lobe_areas` measures on one loop, in cut order; empty
+    when the loop is left uncut."""
+    nxt = np.roll(loop, -1, axis=0)
+    terms = loop[:, 0] * nxt[:, 1] - nxt[:, 0] * loop[:, 1]
     extents = np.hypot(loop[:, 0], loop[:, 1]).max(keepdims=True)
-    owner, groups = _origin_lobes(loop[None], np.roll(loop, -1, axis=0)[None], extents)
-    lobes = [None] * len(owner)
-    for numbers, polygons in groups:
-        for k, polygon in zip(numbers.tolist(), polygons):
-            lobes[k] = polygon
-    return lobes or [loop]
+    owner, areas = _lobe_areas(loop[None], nxt[None], terms[None], extents)
+    assert not owner.any()
+    return areas.tolist()
 
 
-class TestOriginLobesMatchReference:
+def rounding_bound(loop, lobes):
+    """n * eps * sum of |x_e y_e+1| + |x_e+1 y_e| over the edges of the loop
+    and of its reference lobes, n their count: the recursive-summation bound
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 4.2) on how
+    far two orders of summing those shoelace terms, running sums over the
+    loop or one sum per lobe, may part."""
+    total, count = 0.0, 0
+    for polygon in (loop, *lobes):
+        x, y = polygon[:, 0], polygon[:, 1]
+        total += float(np.sum(np.abs(x * np.roll(y, -1)) + np.abs(np.roll(x, -1) * y)))
+        count += len(polygon)
+    return count * np.finfo(float).eps * total
+
+
+def assert_matches_reference(loop, metrics):
+    """``metrics`` of ``loop`` against the reference: perimeter and pinch bit
+    for bit, F from the returned area and perimeter, the reference's lobe
+    count, an uncut loop bit for bit, and each lobe's area and a cut loop's
+    area within `rounding_bound`."""
+    expected = reference_loop_metrics(loop)
+    assert_same_bits([metrics.perimeter, metrics.pinch_distance],
+                     [expected.perimeter, expected.pinch_distance])
+    assert metrics.form_factor == 4.0 * math.pi * metrics.area / metrics.perimeter ** 2
+    lobes = reference_origin_lobes(loop)
+    areas = lobe_areas(loop)
+    if len(lobes) == 1:
+        assert areas == []
+        assert bits(metrics) == bits(expected)
+        return
+    assert len(areas) == len(lobes)
+    bound = rounding_bound(loop, lobes)
+    for area, lobe in zip(areas, lobes):
+        assert abs(area - abs(shoelace(lobe))) <= bound
+    assert abs(metrics.area - expected.area) <= bound
+
+
+class TestLobeAreasMatchReference:
     @given(loop=drawn_loops, scale=st.sampled_from([1.0, 1e-3, 1e3]))
     @settings(max_examples=400, deadline=None)
-    def test_lobes_and_metrics_bit_for_bit(self, loop, scale):
+    def test_lobes_and_metrics_match_reference(self, loop, scale):
         loop = loop * scale
-        lobes = lobes_in_cut_order(loop)
-        expected = reference_origin_lobes(loop)
-        assert [lobe.shape for lobe in lobes] == [lobe.shape for lobe in expected]
-        # byte equality: same values and the same sign bits on zeros
-        assert [lobe.tobytes() for lobe in lobes] == [lobe.tobytes() for lobe in expected]
-        assert bits(loop_metrics(loop)) == bits(reference_loop_metrics(loop))
+        assert_matches_reference(loop, loop_metrics(loop))
+
+    def test_cut_on_the_last_edge(self):
+        # edges 2 and 5 cross V = 0 at the origin; the lobe cut at the last
+        # edge wraps, so its interior starts at running sum n
+        loop = polygon_loop([(-1, -1), (-2, 0), (-1, 1), (2, -2), (4, 0), (2, 2)])
+        assert lobe_areas(loop) == [8.0, 2.0]
+        m = loop_metrics(loop)
+        assert m.area == 10.0
+        assert_matches_reference(loop, m)
+
+    def test_adjacent_cut_edges(self):
+        # a spike over the V axis near the origin: edges 3 and 4 both cut,
+        # leaving a lobe whose only interior point is the spike's tip
+        loop = polygon_loop([(-1, -1), (-2, 0), (-1, 1), (-0.01, 0.02), (0.02, 0.0),
+                             (-0.01, -0.02)])
+        areas = lobe_areas(loop)
+        assert len(areas) == 2
+        # the tip triangle: base 4/150 on the V axis, height 0.02
+        assert areas[0] == pytest.approx(0.5 * (0.04 / 1.5) * 0.02, rel=1e-12)
+        assert_matches_reference(loop, loop_metrics(loop))
+
+    def test_many_near_crossings(self):
+        # V = sin 3t changes sign six times a period, each time with I near 0
+        t = np.linspace(0.0, 2 * math.pi, 90, endpoint=False) + 0.1
+        v = np.sin(3 * t)
+        loop = np.column_stack([v, v * (np.cos(t) + 0.5)])
+        assert len(reference_origin_lobes(loop)) == 6
+        assert_matches_reference(loop, loop_metrics(loop))
+
+    def test_stack_mixing_cut_and_uncut_loops(self):
+        t = np.linspace(0.0, 2 * math.pi, 24, endpoint=False) + 0.2
+        stack = np.stack([
+            np.column_stack([np.sin(t), np.sin(t) * (np.cos(t) + 0.3)]),  # figure-eight
+            np.column_stack([2.0 + np.cos(t), np.sin(t)]),  # never crosses V = 0
+            np.column_stack([np.cos(t), np.sin(t)]),  # crosses V = 0 far from the origin
+            np.column_stack([np.sin(t), 0.5 * np.sin(2 * t) + 0.01]),  # pinched, tilted
+        ])
+        assert [len(reference_origin_lobes(loop)) for loop in stack] == [2, 1, 1, 2]
+        metrics = loop_metrics(stack)
+        assert [bits(m) for m in metrics] == [bits(loop_metrics(loop)) for loop in stack]
+        for loop, m in zip(stack, metrics):
+            assert_matches_reference(loop, m)
 
 
 def corrupted(loop, kind):
@@ -239,8 +315,9 @@ class TestStackedLoopMetrics:
         stack = stack * scale
         metrics = loop_metrics(stack)
         assert isinstance(metrics, list)
-        assert [bits(m) for m in metrics] == [bits(reference_loop_metrics(loop))
-                                              for loop in stack]
+        assert [bits(m) for m in metrics] == [bits(loop_metrics(loop)) for loop in stack]
+        for loop, m in zip(stack, metrics):
+            assert_matches_reference(loop, m)
 
     @given(stack=loop_stacks(),
            bad=st.lists(st.tuples(st.integers(0, 5),
@@ -270,7 +347,9 @@ class TestStackedLoopMetrics:
         for q in range(len(result.trace.qubits)):
             loops = split_loops(result.trace, cfg.validate().grid, qubit=q)
             assert [bits(m) for m in result.metrics[q]] == [
-                bits(reference_loop_metrics(loop)) for loop in loops]
+                bits(loop_metrics(loop)) for loop in loops]
+            for loop, m in zip(loops, result.metrics[q]):
+                assert_matches_reference(loop, m)
 
     def test_one_loop_is_a_stack_of_one(self, rng):
         loop = star_polygon(rng, 12)
@@ -605,6 +684,12 @@ class TestEntanglementEvents:
         t = np.arange(6.0)
         c = [0.3, 0.2, 0.0, 0.2, 0.3, 0.3]
         assert entanglement_events(t, c) == []
+
+    def test_dip_at_the_last_sample_is_a_death(self):
+        # nothing follows the last sample to show the dip is one sample long
+        assert entanglement_events(np.arange(3.0), [0.3, 0.3, 0.0]) == [
+            EntanglementEvent("death", 2.0)]
+        assert entanglement_events(np.arange(4.0), [0.3, 0.3, 0.0, 0.3]) == []
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
