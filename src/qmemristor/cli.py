@@ -8,9 +8,10 @@ are built by one helper: a ``--preset``/``--config`` selection, one flag per
 and ``--out``, and ``-v/--log-level`` sends the package's log records at
 that level and above to stderr; without it stderr carries only errors.
 Each verb's parser names its handler, which ``main`` calls.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure, 4 I/O
-error. Any other exception, a bare ValueError included, is a defect and
-surfaces as a traceback.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure or a run
+too large for memory (one stderr line, no traceback), 4 I/O error. Any other
+exception, a bare ValueError included, is a defect and surfaces as a
+traceback.
 """
 
 from __future__ import annotations
@@ -169,6 +170,10 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
             return 4
+        except MemoryError as exc:
+            # numpy raises it for an array larger than memory before allocating
+            print(f"out of memory: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -6,15 +6,16 @@ array adaptive Simpson whose panels refine together, one level per pass, so a
 whole schedule's steps are integrated in one call. One qubit needs no step
 loop (`run_single` keeps each state entry as a running product or sum); two
 coupled qubits are stepped together for every coupling spec (`run_coupled`).
-`analytic_oracle` evaluates the closed-form interaction-picture solution, with
-kappa(0, t) summed from the Jacobi-Anger series of the rate (Abramowitz &
-Stegun 9.1.42-9.1.45); `lindblad_oracle` integrates the lab-frame master
-equation with classical RK4, stepping the eigenmodes of its Liouvillian as
-scalars: the Hamiltonian and dissipator parts commute, so one closed-form
-integer basis diagonalizes the Liouvillian at every time. Of its four modes
-one is stationary and one is the complex conjugate of another, so only a
-real and a complex mode are stepped. Both exist so the digital path can be
-checked against routes that share none of its code.
+`kappa` gives the same integral over any interval in closed form, from the
+Jacobi-Anger series of the rate (Abramowitz & Stegun 9.1.42-9.1.45).
+`analytic_oracle` evaluates the closed-form interaction-picture solution
+with kappa(0, t) from `kappa`; `lindblad_oracle` integrates the lab-frame
+master equation with classical RK4, stepping the eigenmodes of its
+Liouvillian as scalars: the Hamiltonian and dissipator parts commute, so one
+closed-form integer basis diagonalizes the Liouvillian at every time. Of its
+four modes one is stationary and one is the complex conjugate of another, so
+only a real and a complex mode are stepped. Both exist so the digital path
+can be checked against routes that share none of its code.
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ class DecayProfile:
         if self.constant_rate is not None and not 0 <= self.constant_rate < math.inf:
             raise ValueError(
                 f"constant_rate must be nonnegative and finite, got {self.constant_rate}")
-
-    @property
-    def period(self) -> float:
-        return 2.0 * math.pi / self.omega
 
 
 @dataclass(frozen=True)
@@ -166,8 +163,10 @@ def _panel_integrals(a: np.ndarray, b: np.ndarray, p: DecayProfile,
             # strict acceptance (|delta| <= tol rather than 15*tol) plus the
             # Richardson term usually keeps the realized error under the
             # nominal tol, but |delta| only estimates it: the one panel of
-            # [3.2274924225149766, 4.227...] at gamma0 = 0.4, omega = 1 is
-            # accepted 1.18e-10 off the closed form, 18% over tol = 1e-10
+            # [3.2274924225149766, 4.227...] at gamma0 = 0.4, omega = 1, about
+            # a sixth of a period, is accepted 1.18e-10 off the closed form,
+            # 18% over tol = 1e-10. Only `kappa_schedule` calls this, whose
+            # panels are grid steps of at most an eighth of a period
             accepted = (err <= tol) | (depth <= 0)
             # an overflowing rate: an infinite half gives NaN one level down
             failed = ~(accepted | np.isfinite(err))
@@ -195,48 +194,53 @@ def _panel_integrals(a: np.ndarray, b: np.ndarray, p: DecayProfile,
     return values
 
 
-def _decay_integral(a: float, b: float, p: DecayProfile) -> float:
-    """Adaptive Simpson integral of the rate formula over [a, b], a < b.
+def _bessel_j_at_1(n: int) -> float:
+    """J_n(1), correctly rounded: the power series sum_m (-1)^m (1/2)^(2m+n) /
+    (m! (m+n)!), summed exactly over m < 12 (the rest is below 1e-20 of it)."""
+    return float(sum(Fraction((-1) ** m, math.factorial(m) * math.factorial(m + n)
+                              * 2 ** (2 * m + n)) for m in range(12)))
 
-    The absolute tolerance is QUAD_TOL. Initial panels are capped at a quarter
-    period: a periodic integrand sampled at period-commensurate points can
-    fool the refinement estimate. The panels refine together in one
-    `_panel_integrals` call, with QUAD_TOL shared out equally among them,
-    and their values are summed left to right. Raises IntegrationError once
-    a panel's error estimate is not finite (an overflowing rate).
-    """
-    n_panels = max(1, math.ceil((b - a) / (p.period / 4.0)))
-    edges = np.linspace(a, b, n_panels + 1)
-    total = 0.0
-    for value in _panel_integrals(edges[:-1], edges[1:], p, QUAD_TOL / n_panels).tolist():
-        total += value
-    return total
+
+# (2k+1, (-1)^k J_{2k+1}(1) / (2k+1)) for k < 12; the first omitted term has
+# J_25(1) ~ 1.9e-33
+_SIN_COS_SERIES = tuple((2 * k + 1, (-1) ** k * _bessel_j_at_1(2 * k + 1) / (2 * k + 1))
+                        for k in range(12))
 
 
 def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
-    """Log-amplitude kappa = -(1/2) * integral of the decay rate over [t_start, t_end].
+    """Log-amplitude kappa = -(1/2) * integral of the decay rate over
+    [a, b] = [t_start, t_end], in closed form.
 
-    Additive over adjacent intervals, and <= 0 because the rate is never
-    negative (every accepted Simpson panel of the formula is positive).
+    By Jacobi-Anger (Abramowitz & Stegun 9.1.42-9.1.45), sin(cos x) =
+    2 sum_k (-1)^k J_{2k+1}(1) cos((2k+1)x), so the rate integrates to
+    gamma0 * (b - a - (2/omega) sum_k (-1)^k J_{2k+1}(1) (sin(n omega b) -
+    sin(n omega a)) / n) with n = 2k+1. Each difference is summed as
+    2 cos(n omega (a+b)/2) sin(n omega (b-a)/2), which does not cancel on a
+    short interval, so kappa stays <= 0 however short the interval is.
+    Shares no code with `kappa_schedule`. Raises ValueError for an interval
+    that is reversed or has an end that is not finite.
     """
-    if t_end < t_start:
-        raise ValueError(f"reversed interval [{t_start}, {t_end}]")
-    if t_end == t_start:
-        return 0.0
+    if not -math.inf < t_start <= t_end < math.inf:
+        raise ValueError(f"kappa needs a finite interval with t_start <= t_end, "
+                         f"got [{t_start}, {t_end}]")
+    span = t_end - t_start
     if p.constant_rate is not None:
-        return -0.5 * p.constant_rate * (t_end - t_start)
-    return -0.5 * _decay_integral(t_start, t_end, p)
+        return -0.5 * p.constant_rate * span
+    mid, half = 0.5 * p.omega * (t_start + t_end), 0.5 * p.omega * span
+    wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
+    return -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
 
 
 def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
-    """Per-step kappa(t_i, t_{i+1}) for every step of the grid, equal bit for
-    bit to a `kappa` call per step.
+    """Per-step kappa(t_i, t_{i+1}) for every step of the grid, by adaptive
+    quadrature of the decay rate.
 
-    A step spans at most an eighth of a period, under `_decay_integral`'s
-    quarter-period cap, so each step is one panel and the whole schedule is
-    one `_panel_integrals` call with tolerance QUAD_TOL. Steps that are
-    empty because dt rounds to 0 get kappa +0.0, and one DEBUG record counts
-    them.
+    Each step is one panel (a step spans at most an eighth of a period), and
+    the whole schedule is one `_panel_integrals` call with tolerance
+    QUAD_TOL. Every step lies within QUAD_TOL/2 + 64 eps |kappa| of the
+    closed-form `kappa` over that step, with which it shares no code. Steps
+    that are empty because dt rounds to 0 get kappa +0.0, and one DEBUG
+    record counts them.
     """
     times = grid.times(p.omega)
     steps = np.diff(times)
@@ -351,45 +355,17 @@ def _step_coupled(states: np.ndarray, kraus1: np.ndarray, kraus2: np.ndarray,
         np.matmul(gated, gates_h, out=out)
 
 
-def _bessel_j_at_1(n: int) -> float:
-    """J_n(1), correctly rounded: the power series sum_m (-1)^m (1/2)^(2m+n) /
-    (m! (m+n)!), summed exactly over m < 12 (the rest is below 1e-20 of it)."""
-    return float(sum(Fraction((-1) ** m, math.factorial(m) * math.factorial(m + n)
-                              * 2 ** (2 * m + n)) for m in range(12)))
-
-
-# (2k+1, (-1)^k J_{2k+1}(1) / (2k+1)) for k < 12; the first omitted term has
-# J_25(1) ~ 1.9e-33
-_SIN_COS_SERIES = tuple((2 * k + 1, (-1) ** k * _bessel_j_at_1(2 * k + 1) / (2 * k + 1))
-                        for k in range(12))
-
-
-def _kappa_closed_form(t: float, p: DecayProfile) -> float:
-    """kappa(0, t) in closed form, for t >= 0.
-
-    By Jacobi-Anger, sin(cos x) = 2 sum_k (-1)^k J_{2k+1}(1) cos((2k+1)x), so
-    the rate integrates to gamma0 * (t - (2/omega) sum_k (-1)^k J_{2k+1}(1)
-    sin((2k+1) omega t) / (2k+1)). Shares no code with `kappa`.
-    """
-    if not t >= 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if p.constant_rate is not None:
-        return -0.5 * p.constant_rate * t
-    x = p.omega * t
-    wave = sum(c * math.sin(n * x) for n, c in _SIN_COS_SERIES)
-    return -0.5 * p.gamma0 * (t - 2.0 / p.omega * wave)
-
-
 def analytic_oracle(init: InitialState, p: DecayProfile, t: float) -> np.ndarray:
     """Closed-form interaction-picture state at time t.
 
     The excited amplitude decays by e^{kappa(0, t)} while the ground
     population absorbs the difference; coherences scale by the same factor.
-    kappa(0, t) comes from the Jacobi-Anger series of the rate (A&S
-    9.1.42-9.1.45), not from the quadrature the digital path uses.
+    kappa(0, t) is the closed-form `kappa`, not the quadrature the digital
+    path uses. Raises ValueError for a negative or NaN t.
     """
-    k = _kappa_closed_form(t, p)
-    amp = math.exp(k)
+    if not t >= 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    amp = math.exp(kappa(0.0, t, p))
     ce = math.cos(init.a) * amp
     coher = math.cos(init.a) * math.sin(init.a) * np.exp(-1j * init.b) * amp
     return np.array([[ce * ce, coher],

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, NumericsError
-(and subclasses) -> 3, OSError -> 4.
+(and subclasses) -> 3, OSError -> 4; it also maps MemoryError to 3.
 """
 
 

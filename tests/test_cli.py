@@ -321,6 +321,19 @@ class TestExitCodes:
         rc = main(["run", "--preset", "fig4", "--out", str(tmp_path)])
         assert rc == 3
 
+    def test_memory_error_is_one_line_and_exit_3(self, tmp_path, monkeypatch, capsys):
+        # numpy's message for an array larger than memory; nothing is allocated
+        def too_large(config, out_dir):
+            raise MemoryError("Unable to allocate 426. PiB for an array with shape "
+                              "(60000000000000000,) and data type int64")
+        monkeypatch.setattr(runner, "run", too_large)
+        rc = main(["run", "--preset", "fig7", "--periods", "1000000000000000",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "out of memory: Unable to allocate 426. PiB for an array with shape "
+            "(60000000000000000,) and data type int64"]
+
     def test_bare_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
         def bug(config, out_dir):
             raise ValueError("a programming error")
