@@ -14,8 +14,11 @@ master equation with classical RK4, stepping the eigenmodes of its
 Liouvillian as scalars: the Hamiltonian and dissipator parts commute, so one
 closed-form integer basis diagonalizes the Liouvillian at every time. Of its
 four modes one is stationary and one is the complex conjugate of another, so
-only a real and a complex mode are stepped. Both exist so the digital path
-can be checked against routes that share none of its code.
+only a real and a complex mode are stepped. The whole steps read their rates
+from one table sampled on the half-step grid, where a step's end is the next
+step's start (2n+1 samples for n steps); a remainder step is its own gain,
+multiplied in last. Both exist so the digital path can be checked against
+routes that share none of its code.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ STEPS_PER_PERIOD_FLOOR = 8
 QUAD_TOL = 1e-10
 # relative size of rounding noise in a Simpson refinement estimate
 _ROUNDING_FLOOR = 64 * sys.float_info.epsilon
+# most steps `lindblad_oracle` takes: a (3, n) complex table of its stages
+# must have a byte count numpy can index
+_MAX_RK4_STEPS = np.iinfo(np.intp).max // 48
 
 
 @dataclass(frozen=True)
@@ -217,18 +223,31 @@ def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
     sin(n omega a)) / n) with n = 2k+1. Each difference is summed as
     2 cos(n omega (a+b)/2) sin(n omega (b-a)/2), which does not cancel on a
     short interval, so kappa stays <= 0 however short the interval is.
-    Shares no code with `kappa_schedule`. Raises ValueError for an interval
-    that is reversed or has an end that is not finite.
+    Shares no code with `kappa_schedule`. Raises ValueError naming the
+    interval if it is reversed or has an end that is not finite, if a
+    harmonic's phase n omega (a+b)/2 or n omega (b-a)/2 overflows, or if
+    kappa itself does not come out finite (b - a, gamma0 (b - a) or
+    4/omega overflows).
     """
     if not -math.inf < t_start <= t_end < math.inf:
         raise ValueError(f"kappa needs a finite interval with t_start <= t_end, "
                          f"got [{t_start}, {t_end}]")
     span = t_end - t_start
     if p.constant_rate is not None:
-        return -0.5 * p.constant_rate * span
-    mid, half = 0.5 * p.omega * (t_start + t_end), 0.5 * p.omega * span
-    wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
-    return -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
+        value = -0.5 * p.constant_rate * span
+    else:
+        mid, half = 0.5 * p.omega * (t_start + t_end), 0.5 * p.omega * span
+        # math.cos and math.sin raise a bare "math domain error" on an
+        # infinite phase, and the highest harmonic's phase is the largest
+        n_top = _SIN_COS_SERIES[-1][0]
+        if not (math.isfinite(n_top * mid) and math.isfinite(n_top * half)):
+            raise ValueError(f"kappa's phase overflows on [{t_start}, {t_end}] "
+                             f"at omega={p.omega}")
+        wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
+        value = -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
+    if not math.isfinite(value):
+        raise ValueError(f"kappa overflows on [{t_start}, {t_end}] to {value}")
+    return value
 
 
 def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
@@ -436,20 +455,66 @@ def _liouvillian_modes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return _MODES, _MODES_INVERSE, h, d
 
 
-def _rk4_gains(lam: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Classical RK4 gain of every step of y' = lam(t) y, one mode.
+def _rk4_gains(ham: complex, diss: complex, rates: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 gain of every step of y' = lam(t) y, lam = ham + diss *
+    rate(t): one mode, each step of size h.
 
-    ``lam`` has rows lam at each step's start, midpoint and end; ``h``
-    holds the step sizes.
+    ``rates`` is a contiguous (3, n) table whose rows hold the decay rate at
+    each step's start, midpoint and end. lam and each stage are one new
+    array, updated in place.
     """
-    # numpy's complex multiply rounds a*b and b*a apart in the last bit, and
-    # swaps a product whose right operand is a large temporary; with the
-    # temporary on the left the order is the same at every step count
-    k1 = lam[0]
-    k2 = (1.0 + 0.5 * h * k1) * lam[1]
-    k3 = (1.0 + 0.5 * h * k2) * lam[1]
-    k4 = (1.0 + h * k3) * lam[2]
-    return 1.0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    lam = diss * rates
+    lam += ham
+    # numpy's complex multiply rounds a*b and b*a apart in the last bit; each
+    # product of two arrays runs in place with the running stage on the left
+    k1, mid, end = lam
+    k2 = 0.5 * h * k1
+    k2 += 1.0
+    k2 *= mid
+    k3 = 0.5 * h * k2
+    k3 += 1.0
+    k3 *= mid
+    k4 = h * k3
+    k4 += 1.0
+    k4 *= end
+    # 1 + (h/6) (((k1 + 2 k2) + 2 k3) + k4), accumulated in k2
+    k2 *= 2.0
+    k2 += k1
+    k3 *= 2.0
+    k2 += k3
+    k2 += k4
+    k2 *= h / 6.0
+    k2 += 1.0
+    return k2
+
+
+def _half_step_rates(n: int, dt: float, p: DecayProfile) -> np.ndarray:
+    """Decay rates at the start, midpoint and end of each of n steps of dt
+    from t = 0, as a contiguous (3, n) table.
+
+    The rate is sampled once on the half-step grid k dt/2, k = 0..2n, so a
+    step's end is the next step's start: 2n+1 samples, not 3n. The rows
+    are gathered into contiguous memory, as numpy's complex multiply rounds
+    a strided operand apart from a contiguous one.
+    """
+    rates = decay_rate(np.arange(2 * n + 1) * (0.5 * dt), p)
+    return np.stack([rates[:-1:2], rates[1::2], rates[2::2]])
+
+
+def _mode_products(rates: np.ndarray, h: float, ham_eig: np.ndarray,
+                   diss_eig: np.ndarray) -> np.ndarray:
+    """Product over the steps of each of the four modes' RK4 gains, steps of
+    size h with the (3, n) decay rates ``rates``.
+
+    Mode 0 has gain 1, mode 1 is real, and mode 3 is the conjugate of mode
+    2 (IEEE +, - and * keep conjugate symmetry). One running product per
+    mode: with a constant rate every factor is the same, and a pairwise
+    product would round each level's equal partial products alike, an error
+    growing with n instead of sqrt(n).
+    """
+    prod1 = _rk4_gains(ham_eig[1].real, diss_eig[1].real, rates, h).prod()
+    prod2 = _rk4_gains(ham_eig[2], diss_eig[2], rates, h).prod()
+    return np.array([1.0, prod1, prod2, prod2.conjugate()])
 
 
 def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
@@ -469,8 +534,16 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
     h = d = 0, so every gain is exactly 1, and mode 3's arithmetic is the
     exact conjugate of mode 2's, so P_3 = conj(P_2).
 
-    Raises ValueError for a t_end that is negative or not finite, or a
-    dt_ode that is not positive and finite. Raises IntegrationError if the
+    The whole steps take their rates from one table sampled on the
+    half-step grid (`_half_step_rates`, 2n+1 samples for n steps). A
+    remainder step above 1e-12 max(1, t_end) is its own three-sample gain
+    with step size the remainder, multiplied in after the whole steps.
+    With no step at all (t_end below that cutoff), rho0 is returned
+    unchanged.
+
+    Raises ValueError for a t_end that is negative or not finite, a dt_ode
+    that is not positive and finite, or more steps than one array can hold
+    (checked before anything is allocated). Raises IntegrationError if the
     trace drifts by more than 1e-6 or is no longer finite, the sign of a
     step size too coarse for the dynamics.
     """
@@ -478,25 +551,25 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
     if not 0.0 < dt_ode < math.inf:
         raise ValueError(f"dt_ode must be positive and finite, got {dt_ode}")
-    modes, inverse, ham_eig, diss_eig = _liouvillian_modes(p.omega)
     n_full, rem = divmod(t_end, dt_ode)
-    h = np.full(int(n_full), dt_ode)
-    if rem > 1e-12 * max(1.0, t_end):
-        h = np.append(h, rem)
+    if not n_full <= _MAX_RK4_STEPS:
+        raise ValueError(f"t_end = {t_end} at dt_ode = {dt_ode} needs {n_full:.6g} RK4 "
+                         f"steps, more than the {_MAX_RK4_STEPS} one array can hold")
+    modes, inverse, ham_eig, diss_eig = _liouvillian_modes(p.omega)
+    n_full = int(n_full)
+    tail = rem > 1e-12 * max(1.0, t_end)
+    if not (n_full or tail):
+        return init.density_matrix()
     # a step too coarse for a stiff rate overflows the gains; the trace
     # check below must be the only signal
     with np.errstate(over="ignore", invalid="ignore"):
-        # every step's rates at its start, midpoint and end: one contiguous
-        # (3, n) table, so each sample's row runs along the steps
-        rate = decay_rate(np.arange(len(h)) * dt_ode + h * [[0.0], [0.5], [1.0]], p)
-        # mode 0 has gain 1, mode 1 is real, and mode 3 is the conjugate of
-        # mode 2 (IEEE +, - and * keep conjugate symmetry). One running
-        # product per mode: with a constant rate every factor is the same,
-        # and a pairwise product would round each level's equal partial
-        # products alike, an error growing with n instead of sqrt(n)
-        prod1 = _rk4_gains(ham_eig[1].real + diss_eig[1].real * rate, h).prod()
-        prod2 = _rk4_gains(ham_eig[2] + diss_eig[2] * rate, h).prod()
-        prods = np.array([1.0, prod1, prod2, prod2.conjugate()])
+        prods = _mode_products(_half_step_rates(n_full, dt_ode, p), dt_ode,
+                               ham_eig, diss_eig)
+        if tail:
+            start = n_full * dt_ode
+            rates = decay_rate(start + rem * np.array([[0.0], [0.5], [1.0]]), p)
+            # an array multiply: a numpy scalar product rounds apart from it
+            prods *= _mode_products(rates, rem, ham_eig, diss_eig)
         v = modes @ (prods * (inverse @ init.density_matrix().reshape(4)))
     rho = v.reshape(2, 2)
     drift = abs(rho.trace() - 1.0)

@@ -1,7 +1,9 @@
 import dataclasses
 import logging
 import math
+import re
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,6 +91,23 @@ class TestKappa:
         with pytest.raises(ValueError, match=r"^kappa needs a finite interval with "
                                              r"t_start <= t_end, got \[\S+, \S+\]$"):
             kappa(t_start, t_end, FIG4_PROFILE)
+
+    @pytest.mark.parametrize("t_start, t_end, p, message", [
+        # omega * t overflows, then (a+b) does: math.cos would see inf
+        (0.0, 1e10, DecayProfile(1.0, 1e300),
+         r"^kappa's phase overflows on \[0\.0, 10000000000\.0\] at omega=1e\+300$"),
+        (1e308, 1.5e308, DecayProfile(1.0, 1.0),
+         r"^kappa's phase overflows on \[1e\+308, 1\.5e\+308\] at omega=1\.0$"),
+        # gamma0 * span overflows: the integral itself is not finite
+        (0.0, 1e300, DecayProfile(1e10, 1.0),
+         r"^kappa overflows on \[0\.0, 1e\+300\] to -inf$"),
+    ])
+    def test_overflow_names_the_interval(self, t_start, t_end, p, message):
+        with pytest.raises(ValueError, match=message):
+            kappa(t_start, t_end, p)
+        if t_start == 0.0:
+            with pytest.raises(ValueError, match=message):
+                analytic_oracle(FIG4_INIT, p, t_end)
 
     def test_overflowing_schedule_raises(self):
         # only the steps near t = pi overflow; the others are finite
@@ -355,11 +374,28 @@ class TestLindbladOracle:
         with pytest.raises(ValueError, match="^t_end must be nonnegative and finite"):
             lindblad_oracle(FIG4_INIT, FIG4_PROFILE, t_end, 1e-3)
 
+    @pytest.mark.parametrize("t_end, dt_ode, steps", [
+        (1e300, 1.0, "1e+300"),
+        (1.0, 5e-324, "inf"),
+        (2.0 * dynamics._MAX_RK4_STEPS, 1.0, f"{2.0 * dynamics._MAX_RK4_STEPS:.6g}"),
+    ])
+    def test_rejects_more_steps_than_an_array_holds(self, t_end, dt_ode, steps):
+        # the error comes before any array is allocated
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"t_end = {t_end} at dt_ode = {dt_ode} needs {steps} RK4 steps, more "
+                    f"than the {dynamics._MAX_RK4_STEPS} one array can hold")):
+                lindblad_oracle(InitialState(0.5), DecayProfile(0.1, 1.0), t_end, dt_ode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("t_end", [0.0, 1e-14])
     def test_no_step_returns_the_initial_state(self, t_end):
-        rho0 = FIG4_INIT.density_matrix()
         out = lindblad_oracle(FIG4_INIT, FIG4_PROFILE, t_end, 1e-3)
-        assert np.abs(out - rho0).max() <= 1e-15
+        assert_same_bits(out, FIG4_INIT.density_matrix())
 
     def test_commutation_guard(self, monkeypatch):
         # a sigma_x Hamiltonian mixes populations and coherences, so it does
@@ -403,16 +439,18 @@ class TestLindbladOracle:
         assert np.abs(out - reference_lindblad_oracle(FIG4_INIT, p, 1.0, 1e-2)).max() <= 1e-13
 
     def test_rate_table_matches_decay_rate(self, rng):
-        # the RK4 oracle takes every step's rates from one decay_rate call
-        # over an (n, 3) table of times; each entry is the per-time scalar call
-        h = 0.37
-        starts = np.sort(rng.uniform(0.0, 50.0, size=400))
-        times = starts[:, None] + [0.0, 0.5 * h, h]
-        for p in (FIG4_PROFILE, DecayProfile(2.3, 3.7)):
-            table = decay_rate(times, p)
-            ref = np.array([[decay_rate(t, p) for t in row] for row in times.tolist()])
-            assert table.shape == (400, 3)
-            assert table.tobytes() == ref.tobytes()
+        # the RK4 oracle takes every whole step's rates from one decay_rate
+        # call on the half-step grid k*h/2, gathered into a (3, n) table of
+        # starts, midpoints and ends; each entry is the scalar call at its time
+        for _ in range(3):
+            n, h = int(rng.integers(1, 400)), float(rng.uniform(1e-3, 0.5))
+            for p in (FIG4_PROFILE, DecayProfile(2.3, 3.7)):
+                table = dynamics._half_step_rates(n, h, p)
+                ref = np.array([[decay_rate((2 * i + row) * (0.5 * h), p) for i in range(n)]
+                                for row in range(3)])
+                assert table.shape == (3, n)
+                assert table.flags.c_contiguous
+                assert table.tobytes() == ref.tobytes()
 
     def test_rate_table_exact_for_constant_rate(self):
         p = DecayProfile(1.0, 1.0, constant_rate=0.123)
@@ -924,12 +962,15 @@ class TestLindbladMatchesReferencePropagators:
 
 # The Lindblad oracle as it stood before it stepped only two eigenmodes: the
 # basis from eig(H / max|H| + D) with its columns scaled to integers, and RK4
-# on all four modes in complex arithmetic. numpy's complex multiply rounds
-# a*b and b*a apart in the last bit and swaps a product whose right operand
-# is a temporary of 256 KiB or more, as the (4, n) ones were from 4096 steps
-# on; each such product is written here with that temporary on the left, the
-# order it ran in at those sizes, so the reference has one order at every
-# step count. Two-mode oracle and reference must agree bit for bit.
+# on all four modes in complex arithmetic. It reads the rates the way the
+# oracle does: whole steps from the half-step grid k*dt/2, gathered into one
+# contiguous table (here by fancy indexing), and the remainder step as its
+# own three-sample gain, multiplied in as an array. numpy's complex multiply
+# rounds a*b and b*a apart in the last bit, so every product of two arrays
+# runs in place with the running stage on the left, as in the oracle; and it
+# rounds a strided loop apart from a contiguous one, so each mode is stepped
+# on its own (a (4, 3, 1) stack of one step's stages would run strided).
+# Two-mode oracle and reference must agree bit for bit.
 
 def reference_eig_modes(omega):
     ham, diss = dynamics._liouvillian_parts(omega)
@@ -941,21 +982,47 @@ def reference_eig_modes(omega):
     return modes, inverse, ham_eig, diss_eig
 
 
+def reference_mode_products(ham_eig, diss_eig, rate, h):
+    """Every mode's product of RK4 gains over steps of size h, rates (3, n)."""
+    prods = []
+    for ham, diss in zip(ham_eig, diss_eig):
+        k1, mid, end = ham + diss * rate
+        k2 = 0.5 * h * k1
+        k2 += 1.0
+        k2 *= mid
+        k3 = 0.5 * h * k2
+        k3 += 1.0
+        k3 *= mid
+        k4 = h * k3
+        k4 += 1.0
+        k4 *= end
+        gains = 2.0 * k2
+        gains += k1
+        k3 *= 2.0
+        gains += k3
+        gains += k4
+        gains *= h / 6.0
+        gains += 1.0
+        prods.append(gains.prod())
+    return np.array(prods)
+
+
 def reference_four_mode_oracle(init, p, t_end, dt_ode):
     modes, inverse, ham_eig, diss_eig = reference_eig_modes(p.omega)
     n_full, rem = divmod(t_end, dt_ode)
-    h = np.full(int(n_full), dt_ode)
-    if rem > 1e-12 * max(1.0, t_end):
-        h = np.append(h, rem)
+    n_full = int(n_full)
+    tail = rem > 1e-12 * max(1.0, t_end)
+    if not (n_full or tail):
+        return init.density_matrix()
     with np.errstate(over="ignore", invalid="ignore"):
-        rate = decay_rate(np.arange(len(h))[:, None] * dt_ode + h[:, None] * [0.0, 0.5, 1.0], p)
-        lam = ham_eig[:, None, None] + diss_eig[:, None, None] * rate.T
-        k1 = lam[:, 0]
-        k2 = (1.0 + 0.5 * h * k1) * lam[:, 1]
-        k3 = (1.0 + 0.5 * h * k2) * lam[:, 1]
-        k4 = (1.0 + h * k3) * lam[:, 2]
-        gains = 1.0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        v = modes @ (gains.prod(axis=1) * (inverse @ init.density_matrix().reshape(4)))
+        half = decay_rate(np.arange(2 * n_full + 1) * (0.5 * dt_ode), p)
+        rate = half[np.arange(3)[:, None] + 2 * np.arange(n_full)]
+        prods = reference_mode_products(ham_eig, diss_eig, rate, dt_ode)
+        if tail:
+            start = n_full * dt_ode
+            rate = decay_rate(start + rem * np.array([[0.0], [0.5], [1.0]]), p)
+            prods *= reference_mode_products(ham_eig, diss_eig, rate, rem)
+        v = modes @ (prods * (inverse @ init.density_matrix().reshape(4)))
     rho = v.reshape(2, 2)
     drift = abs(rho.trace() - 1.0)
     if not drift <= 1e-6:
@@ -1008,3 +1075,70 @@ class TestTwoModeOracleMatchesFourModeReference:
     def test_closed_form_basis_is_eigs(self, omega):
         for got, ref in zip(dynamics._liouvillian_modes(omega), reference_eig_modes(omega)):
             assert np.array_equal(got, ref)
+
+
+# The RK4 oracle as it sampled the rate before the half-step table: an (n, 3)
+# table of every step's start, midpoint and end, 3n samples, with the step
+# sizes (the remainder last) as an array. Its midpoints i*dt + dt/2 and ends
+# i*dt + dt round apart from the half-step grid's (2i+1)*dt/2 and
+# (2i+2)*dt/2, so the two oracles agree to rounding, not bit for bit.
+
+def reference_per_step_oracle(init, p, t_end, dt_ode):
+    modes, inverse, ham_eig, diss_eig = dynamics._liouvillian_modes(p.omega)
+    n_full, rem = divmod(t_end, dt_ode)
+    h = np.full(int(n_full), dt_ode)
+    if rem > 1e-12 * max(1.0, t_end):
+        h = np.append(h, rem)
+    rate = decay_rate(np.arange(len(h))[:, None] * dt_ode + h[:, None] * [0.0, 0.5, 1.0], p)
+    prods = [1.0]
+    for j in (1, 2):
+        lam = ham_eig[j] + diss_eig[j] * rate
+        k1 = lam[:, 0]
+        k2 = (1.0 + 0.5 * h * k1) * lam[:, 1]
+        k3 = (1.0 + 0.5 * h * k2) * lam[:, 1]
+        k4 = (1.0 + h * k3) * lam[:, 2]
+        prods.append((1.0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).prod())
+    prods.append(np.conj(prods[2]))
+    v = modes @ (np.array(prods) * (inverse @ init.density_matrix().reshape(4)))
+    return v.reshape(2, 2)
+
+
+# the worst |half-step - per-step| over 29000 uniform draws from the
+# property's ranges (most with a fifth of them at t_end < 3 dt_ode) was
+# 1.78e-15; the bound is 56 times that
+PER_STEP_TABLE_BOUND = 1e-13
+
+ORACLE_EDGE_CASES = {
+    "tail_step_only": (FIG4_INIT, FIG4_PROFILE, 7e-4, 1e-3),
+    "whole_binary_steps_only": (FIG4_INIT, FIG4_PROFILE, 2.0, 0.0078125),
+    # the remainder is cut at 1e-12 * max(1, t_end), about 2e-12 here
+    "remainder_above_cutoff": (FIG4_INIT, FIG4_PROFILE, 2.0 + 4e-12, 0.0078125),
+    "remainder_below_cutoff": (FIG4_INIT, FIG4_PROFILE, 2.0 + 1e-12, 0.0078125),
+    "zero_time": (FIG4_INIT, FIG4_PROFILE, 0.0, 1e-3),
+    "constant_rate": (FIG4_INIT, DecayProfile(1.0, 1.0, constant_rate=0.3), 2.003, 0.0078125),
+    "zero_rate": (InitialState(0.4, 0.9), DecayProfile(1.0, 1.0, constant_rate=0.0), 62.8, 1e-3),
+}
+
+
+class TestHalfStepRateTable:
+    @given(init=initial_states, p=st.floats(0.5, 3.0).flatmap(profiles),
+           t_end=st.floats(0.0, 62.8), dt_ode=st.floats(1e-3, 0.1))
+    @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=62.8, dt_ode=1e-3)
+    @settings(max_examples=60, deadline=None)
+    def test_within_bound_of_the_per_step_table(self, init, p, t_end, dt_ode):
+        out = lindblad_oracle(init, p, t_end, dt_ode)
+        ref = reference_per_step_oracle(init, p, t_end, dt_ode)
+        assert np.abs(out - ref).max() <= PER_STEP_TABLE_BOUND
+
+    @pytest.mark.parametrize("case", ORACLE_EDGE_CASES.values(), ids=ORACLE_EDGE_CASES.keys())
+    def test_edge_case(self, case):
+        assert_oracles_agree(*case)
+        out = lindblad_oracle(*case)
+        assert np.abs(out - reference_per_step_oracle(*case)).max() <= PER_STEP_TABLE_BOUND
+
+    def test_remainder_cutoff(self):
+        whole = lindblad_oracle(*ORACLE_EDGE_CASES["whole_binary_steps_only"])
+        below = lindblad_oracle(*ORACLE_EDGE_CASES["remainder_below_cutoff"])
+        above = lindblad_oracle(*ORACLE_EDGE_CASES["remainder_above_cutoff"])
+        assert_same_bits(below, whole)
+        assert not np.array_equal(above, whole)
