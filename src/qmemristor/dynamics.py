@@ -14,15 +14,20 @@ master equation with classical RK4, stepping the eigenmodes of its
 Liouvillian as scalars: the Hamiltonian and dissipator parts commute, so one
 closed-form integer basis diagonalizes the Liouvillian at every time. Of its
 four modes one is stationary and one is the complex conjugate of another, so
-only a real and a complex mode are stepped. The whole steps read their rates
-from one table sampled on the half-step grid, where a step's end is the next
-step's start (2n+1 samples for n steps); a remainder step is its own gain,
-multiplied in last. Both exist so the digital path can be checked against
-routes that share none of its code.
+only a real and a complex mode are stepped. The whole steps run in blocks of
+`_RK4_BLOCK` steps, each mode keeping one running product across them. A
+block reads its rates from the drive modulation sampled on its stretch of the
+half-step grid, where a step's end is the next step's start (2B+1 samples for
+B steps); that table depends only on omega, the step size and the block, so
+a bounded cache keeps the recent blocks, and the oracle's memory is a few
+blocks plus that cache, whatever the number of steps. A remainder step is
+its own gain, multiplied in last. Both oracles exist so the digital path can
+be checked against routes that share none of its code.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
@@ -41,9 +46,18 @@ STEPS_PER_PERIOD_FLOOR = 8
 QUAD_TOL = 1e-10
 # relative size of rounding noise in a Simpson refinement estimate
 _ROUNDING_FLOOR = 64 * sys.float_info.epsilon
-# most steps `lindblad_oracle` takes: a (3, n) complex table of its stages
-# must have a byte count numpy can index
-_MAX_RK4_STEPS = np.iinfo(np.intp).max // 48
+# whole RK4 steps per block of `lindblad_oracle`: a block's largest
+# temporary, its (3, B) complex lambda table, is 96 KiB, below glibc's
+# default 128 KiB mmap threshold, so the blocks reuse heap pages instead of
+# faulting in fresh ones (at 4096 steps that table is mapped afresh, about
+# 96 page faults per fig4 call)
+_RK4_BLOCK = 2048
+# modulation blocks the cache keeps: a fig4 criterion-1 call (25132 steps of
+# 1e-3) reads 13 blocks, so two such step grids stay warm, in 1.5 MiB
+_MODULATION_CACHE_BLOCKS = 32
+# most steps `lindblad_oracle` takes: the half-step index 2n+1 of its last
+# step must fit numpy's intp
+_MAX_RK4_STEPS = (np.iinfo(np.intp).max - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,12 @@ def decay_rate(t: float | np.ndarray, p: DecayProfile) -> float | np.ndarray:
     if set, in t's shape. Never negative."""
     if p.constant_rate is not None:
         return np.full(np.shape(t), p.constant_rate, dtype=float)
-    return p.gamma0 * (1.0 - np.sin(np.cos(p.omega * t)))
+    return p.gamma0 * _modulation(p.omega, t)
+
+
+def _modulation(omega: float, t: float | np.ndarray) -> float | np.ndarray:
+    """Drive modulation 1 - sin(cos(omega*t)) of the decay rate."""
+    return 1.0 - np.sin(np.cos(omega * t))
 
 
 def _simpson(t: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -213,6 +232,11 @@ _SIN_COS_SERIES = tuple((2 * k + 1, (-1) ** k * _bessel_j_at_1(2 * k + 1) / (2 *
                         for k in range(12))
 
 
+def _sinc(x: float) -> float:
+    """sin(x)/x, with sinc(0) = 1."""
+    return math.sin(x) / x if x else 1.0
+
+
 def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
     """Log-amplitude kappa = -(1/2) * integral of the decay rate over
     [a, b] = [t_start, t_end], in closed form.
@@ -223,11 +247,14 @@ def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
     sin(n omega a)) / n) with n = 2k+1. Each difference is summed as
     2 cos(n omega (a+b)/2) sin(n omega (b-a)/2), which does not cancel on a
     short interval, so kappa stays <= 0 however short the interval is.
+    Where 4/omega overflows or omega (b-a)/2 is subnormal (a tiny omega or
+    span), each term is summed as 2 n (b - a) cos(n omega (a+b)/2)
+    sinc(n omega (b-a)/2) instead, the same value with no 1/omega factor.
     Shares no code with `kappa_schedule`. Raises ValueError naming the
     interval if it is reversed or has an end that is not finite, if a
     harmonic's phase n omega (a+b)/2 or n omega (b-a)/2 overflows, or if
-    kappa itself does not come out finite (b - a, gamma0 (b - a) or
-    4/omega overflows).
+    kappa itself does not come out finite (b - a or gamma0 (b - a)
+    overflows).
     """
     if not -math.inf < t_start <= t_end < math.inf:
         raise ValueError(f"kappa needs a finite interval with t_start <= t_end, "
@@ -243,8 +270,14 @@ def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
         if not (math.isfinite(n_top * mid) and math.isfinite(n_top * half)):
             raise ValueError(f"kappa's phase overflows on [{t_start}, {t_end}] "
                              f"at omega={p.omega}")
-        wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
-        value = -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
+        if math.isfinite(4.0 / p.omega) and half >= sys.float_info.min:
+            wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
+            value = -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
+        else:
+            # 4/omega overflows or the phases are subnormal: (4/omega) sin(n half)
+            # = 2 n span sinc(n half), which stays finite and keeps its digits
+            wave = sum(n * c * math.cos(n * mid) * _sinc(n * half) for n, c in _SIN_COS_SERIES)
+            value = -0.5 * p.gamma0 * span * (1.0 - 2.0 * wave)
     if not math.isfinite(value):
         raise ValueError(f"kappa overflows on [{t_start}, {t_end}] to {value}")
     return value
@@ -488,32 +521,60 @@ def _rk4_gains(ham: complex, diss: complex, rates: np.ndarray, h: float) -> np.n
     return k2
 
 
-def _half_step_rates(n: int, dt: float, p: DecayProfile) -> np.ndarray:
-    """Decay rates at the start, midpoint and end of each of n steps of dt
-    from t = 0, as a contiguous (3, n) table.
+@functools.lru_cache(maxsize=_MODULATION_CACHE_BLOCKS)
+def _modulation_block(omega: float, dt: float, start: int, stop: int) -> np.ndarray:
+    """Drive modulation at the start, midpoint and end of whole steps start
+    to stop-1 of dt from t = 0, as a read-only contiguous (3, stop-start)
+    table.
 
-    The rate is sampled once on the half-step grid k dt/2, k = 0..2n, so a
-    step's end is the next step's start: 2n+1 samples, not 3n. The rows
-    are gathered into contiguous memory, as numpy's complex multiply rounds
-    a strided operand apart from a contiguous one.
+    The modulation is sampled once on the block's stretch of the half-step
+    grid k dt/2, k = 2 start..2 stop, so a step's end is the next step's
+    start. The rows are gathered into contiguous memory, as numpy's complex
+    multiply rounds a strided operand apart from a contiguous one. Cached:
+    every table is shared by the calls that hit it.
     """
-    rates = decay_rate(np.arange(2 * n + 1) * (0.5 * dt), p)
-    return np.stack([rates[:-1:2], rates[1::2], rates[2::2]])
+    m = _modulation(omega, np.arange(2 * start, 2 * stop + 1) * (0.5 * dt))
+    table = np.stack([m[:-1:2], m[1::2], m[2::2]])
+    table.flags.writeable = False
+    return table
 
 
-def _mode_products(rates: np.ndarray, h: float, ham_eig: np.ndarray,
-                   diss_eig: np.ndarray) -> np.ndarray:
+def _whole_step_rates(n: int, dt: float, p: DecayProfile):
+    """Decay rates at the start, midpoint and end of each of n whole steps
+    of dt from t = 0, yielded as one contiguous (3, B) table per block of
+    `_RK4_BLOCK` steps (the last block holds the rest).
+
+    A rate is gamma0 times the cached `_modulation_block` entry, the
+    expression `decay_rate` evaluates, so every entry has the scalar
+    call's bits. A constant rate comes from `decay_rate` itself.
+    """
+    for start in range(0, n, _RK4_BLOCK):
+        stop = min(start + _RK4_BLOCK, n)
+        if p.constant_rate is None:
+            yield p.gamma0 * _modulation_block(p.omega, dt, start, stop)
+        else:
+            # a constant rate reads only the times' shape
+            yield decay_rate(np.empty((3, stop - start)), p)
+
+
+def _blocked_mode_products(rate_blocks, h: float, ham_eig: np.ndarray,
+                           diss_eig: np.ndarray) -> np.ndarray:
     """Product over the steps of each of the four modes' RK4 gains, steps of
-    size h with the (3, n) decay rates ``rates``.
+    size h whose (3, B) decay-rate tables ``rate_blocks`` yields in order.
 
     Mode 0 has gain 1, mode 1 is real, and mode 3 is the conjugate of mode
     2 (IEEE +, - and * keep conjugate symmetry). One running product per
-    mode: with a constant rate every factor is the same, and a pairwise
-    product would round each level's equal partial products alike, an error
-    growing with n instead of sqrt(n).
+    mode, carried from block to block by ``prod(initial=...)``: numpy
+    starts an unseeded product from the identity 1, so the result is the
+    one left-to-right product of all the gains, bit for bit, whatever the
+    block size. A pairwise product would round each level's equal partial
+    products alike under a constant rate, an error growing with n instead
+    of sqrt(n).
     """
-    prod1 = _rk4_gains(ham_eig[1].real, diss_eig[1].real, rates, h).prod()
-    prod2 = _rk4_gains(ham_eig[2], diss_eig[2], rates, h).prod()
+    prod1, prod2 = 1.0, complex(1.0)
+    for rates in rate_blocks:
+        prod1 = _rk4_gains(ham_eig[1].real, diss_eig[1].real, rates, h).prod(initial=prod1)
+        prod2 = _rk4_gains(ham_eig[2], diss_eig[2], rates, h).prod(initial=prod2)
     return np.array([1.0, prod1, prod2, prod2.conjugate()])
 
 
@@ -534,18 +595,21 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
     h = d = 0, so every gain is exactly 1, and mode 3's arithmetic is the
     exact conjugate of mode 2's, so P_3 = conj(P_2).
 
-    The whole steps take their rates from one table sampled on the
-    half-step grid (`_half_step_rates`, 2n+1 samples for n steps). A
-    remainder step above 1e-12 max(1, t_end) is its own three-sample gain
-    with step size the remainder, multiplied in after the whole steps.
-    With no step at all (t_end below that cutoff), rho0 is returned
-    unchanged.
+    The whole steps run in blocks of `_RK4_BLOCK` steps
+    (`_blocked_mode_products`), each block's rates read from the drive
+    modulation sampled on its stretch of the half-step grid (2B+1 samples
+    for B steps) and kept in a bounded cache (`_modulation_block`), so
+    the call holds a few blocks' arrays whatever n is, and a repeated call
+    skips the sin(cos) sweep. A remainder step above 1e-12 max(1, t_end)
+    is its own three-sample gain with step size the remainder, multiplied
+    in after the whole steps. With no step at all (t_end below that
+    cutoff), rho0 is returned unchanged.
 
     Raises ValueError for a t_end that is negative or not finite, a dt_ode
-    that is not positive and finite, or more steps than one array can hold
-    (checked before anything is allocated). Raises IntegrationError if the
-    trace drifts by more than 1e-6 or is no longer finite, the sign of a
-    step size too coarse for the dynamics.
+    that is not positive and finite, or more steps than the half-step grid
+    can index (checked before anything is allocated). Raises
+    IntegrationError if the trace drifts by more than 1e-6 or is no longer
+    finite, the sign of a step size too coarse for the dynamics.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
@@ -554,7 +618,8 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
     n_full, rem = divmod(t_end, dt_ode)
     if not n_full <= _MAX_RK4_STEPS:
         raise ValueError(f"t_end = {t_end} at dt_ode = {dt_ode} needs {n_full:.6g} RK4 "
-                         f"steps, more than the {_MAX_RK4_STEPS} one array can hold")
+                         f"steps, more than the {_MAX_RK4_STEPS} its half-step grid "
+                         f"can index")
     modes, inverse, ham_eig, diss_eig = _liouvillian_modes(p.omega)
     n_full = int(n_full)
     tail = rem > 1e-12 * max(1.0, t_end)
@@ -563,13 +628,13 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
     # a step too coarse for a stiff rate overflows the gains; the trace
     # check below must be the only signal
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = _mode_products(_half_step_rates(n_full, dt_ode, p), dt_ode,
-                               ham_eig, diss_eig)
+        prods = _blocked_mode_products(_whole_step_rates(n_full, dt_ode, p), dt_ode,
+                                       ham_eig, diss_eig)
         if tail:
             start = n_full * dt_ode
             rates = decay_rate(start + rem * np.array([[0.0], [0.5], [1.0]]), p)
             # an array multiply: a numpy scalar product rounds apart from it
-            prods *= _mode_products(rates, rem, ham_eig, diss_eig)
+            prods *= _blocked_mode_products([rates], rem, ham_eig, diss_eig)
         v = modes @ (prods * (inverse @ init.density_matrix().reshape(4)))
     rho = v.reshape(2, 2)
     drift = abs(rho.trace() - 1.0)

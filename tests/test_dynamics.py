@@ -109,6 +109,16 @@ class TestKappa:
             with pytest.raises(ValueError, match=message):
                 analytic_oracle(FIG4_INIT, p, t_end)
 
+    @pytest.mark.parametrize("omega", [1e-300, 1e-305, 3e-308, 1e-308, 1e-310, 5e-324])
+    def test_tiny_omega(self, omega):
+        # cos(omega t) is 1 to every digit, so the rate is gamma0 (1 - sin 1)
+        # throughout; 4/omega overflows or omega/2 is subnormal below 2.2e-308
+        p = DecayProfile(0.7, omega)
+        expected = -0.5 * 0.7 * (1.0 - math.sin(1.0))
+        assert kappa(0.0, 1.0, p) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        rho = analytic_oracle(InitialState(0.0), p, 1.0)
+        assert rho[0, 0].real == pytest.approx(math.exp(2.0 * expected), rel=1e-14, abs=0.0)
+
     def test_overflowing_schedule_raises(self):
         # only the steps near t = pi overflow; the others are finite
         with deadline(1.0), warnings.catch_warnings():
@@ -385,7 +395,7 @@ class TestLindbladOracle:
         try:
             with pytest.raises(ValueError, match=re.escape(
                     f"t_end = {t_end} at dt_ode = {dt_ode} needs {steps} RK4 steps, more "
-                    f"than the {dynamics._MAX_RK4_STEPS} one array can hold")):
+                    f"than the {dynamics._MAX_RK4_STEPS} its half-step grid can index")):
                 lindblad_oracle(InitialState(0.5), DecayProfile(0.1, 1.0), t_end, dt_ode)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -439,13 +449,14 @@ class TestLindbladOracle:
         assert np.abs(out - reference_lindblad_oracle(FIG4_INIT, p, 1.0, 1e-2)).max() <= 1e-13
 
     def test_rate_table_matches_decay_rate(self, rng):
-        # the RK4 oracle takes every whole step's rates from one decay_rate
-        # call on the half-step grid k*h/2, gathered into a (3, n) table of
-        # starts, midpoints and ends; each entry is the scalar call at its time
+        # the RK4 oracle takes every whole step's rates from the half-step
+        # grid k*h/2, gathered into (3, B) tables of starts, midpoints and
+        # ends, one per block (one block here); each entry is the scalar call
+        # at its time
         for _ in range(3):
             n, h = int(rng.integers(1, 400)), float(rng.uniform(1e-3, 0.5))
             for p in (FIG4_PROFILE, DecayProfile(2.3, 3.7)):
-                table = dynamics._half_step_rates(n, h, p)
+                (table,) = dynamics._whole_step_rates(n, h, p)
                 ref = np.array([[decay_rate((2 * i + row) * (0.5 * h), p) for i in range(n)]
                                 for row in range(3)])
                 assert table.shape == (3, n)
@@ -1060,6 +1071,11 @@ class TestTwoModeOracleMatchesFourModeReference:
     @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=2.0, dt_ode=0.0078125)
     @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=2.003, dt_ode=0.0078125)
     @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=62.8, dt_ode=1e-3)
+    # exactly one block of whole steps, then one step into the next block
+    @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=dynamics._RK4_BLOCK * 0.0078125,
+             dt_ode=0.0078125)
+    @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=(dynamics._RK4_BLOCK + 1) * 0.0078125,
+             dt_ode=0.0078125)
     @settings(max_examples=60, deadline=None)
     def test_bit_for_bit(self, init, p, t_end, dt_ode):
         assert_oracles_agree(init, p, t_end, dt_ode)
@@ -1142,3 +1158,67 @@ class TestHalfStepRateTable:
         above = lindblad_oracle(*ORACLE_EDGE_CASES["remainder_above_cutoff"])
         assert_same_bits(below, whole)
         assert not np.array_equal(above, whole)
+
+
+BLOCK = dynamics._RK4_BLOCK
+
+
+class TestBlockedRateTables:
+    @pytest.mark.parametrize("n", [0, BLOCK, BLOCK + 1, 2 * BLOCK + 5],
+                             ids=["no_step", "one_full_block", "one_step_past_a_block",
+                                  "two_blocks_and_a_partial"])
+    @pytest.mark.parametrize("p", [FIG4_PROFILE, DecayProfile(2.3, 3.7),
+                                   DecayProfile(1.0, 1.0, constant_rate=0.3)],
+                             ids=["fig4", "fast", "constant"])
+    def test_blocks_match_scalar_decay_rate(self, n, p):
+        h = 0.0123
+        blocks = list(dynamics._whole_step_rates(n, h, p))
+        assert [b.shape for b in blocks] == [(3, min(BLOCK, n - start))
+                                             for start in range(0, n, BLOCK)]
+        assert all(b.flags.c_contiguous for b in blocks)
+        table = np.concatenate(blocks, axis=1) if blocks else np.empty((3, 0))
+        ref = np.array([[decay_rate((2 * i + row) * (0.5 * h), p) for i in range(n)]
+                        for row in range(3)]).reshape(3, n)
+        assert table.tobytes() == ref.tobytes()
+
+    def test_cache_hit_equals_miss(self):
+        dynamics._modulation_block.cache_clear()
+        miss = dynamics._modulation_block(1.0, 1e-3, BLOCK, 2 * BLOCK)
+        hit = dynamics._modulation_block(1.0, 1e-3, BLOCK, 2 * BLOCK)
+        info = dynamics._modulation_block.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        dynamics._modulation_block.cache_clear()
+        assert dynamics._modulation_block(1.0, 1e-3, BLOCK, 2 * BLOCK).tobytes() \
+            == hit.tobytes() == miss.tobytes()
+        # a whole oracle call, cold and then warm
+        t_end = (2 * BLOCK + 7.5) * 1e-3
+        dynamics._modulation_block.cache_clear()
+        cold = lindblad_oracle(FIG4_INIT, FIG4_PROFILE, t_end, 1e-3)
+        assert dynamics._modulation_block.cache_info().hits == 0
+        warm = lindblad_oracle(FIG4_INIT, FIG4_PROFILE, t_end, 1e-3)
+        assert dynamics._modulation_block.cache_info().hits == 3
+        assert_same_bits(warm, cold)
+
+    def test_cached_tables_are_read_only(self):
+        table = dynamics._modulation_block(1.0, 1e-3, 0, BLOCK)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+        # the rate tables built from it are the caller's own
+        (rates,) = dynamics._whole_step_rates(BLOCK, 1e-3, FIG4_PROFILE)
+        assert rates.flags.writeable
+
+    def test_memory_is_bounded_by_blocks_and_cache(self):
+        # a million steps: the cache fills to its bound and evicts, and the
+        # call holds a few blocks' arrays, not a (3, n) table (120 MB)
+        dynamics._modulation_block.cache_clear()
+        tracemalloc.start()
+        try:
+            out = lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1000.0, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(out).all()
+        assert peak <= 8e6
+        info = dynamics._modulation_block.cache_info()
+        assert info.maxsize == dynamics._MODULATION_CACHE_BLOCKS
+        assert info.currsize == info.maxsize
