@@ -10,19 +10,18 @@ coupled qubits are stepped together for every coupling spec (`run_coupled`).
 Jacobi-Anger series of the rate (Abramowitz & Stegun 9.1.42-9.1.45).
 `analytic_oracle` evaluates the closed-form interaction-picture solution
 with kappa(0, t) from `kappa`; `lindblad_oracle` integrates the lab-frame
-master equation with classical RK4, stepping the eigenmodes of its
-Liouvillian as scalars: the Hamiltonian and dissipator parts commute, so one
-closed-form integer basis diagonalizes the Liouvillian at every time. Of its
-four modes one is stationary and one is the complex conjugate of another, so
-only a real and a complex mode are stepped. The whole steps run in blocks of
-`_RK4_BLOCK` steps, each mode keeping one running product across them. A
-block reads its rates from the drive modulation sampled on its stretch of the
-half-step grid, where a step's end is the next step's start (2B+1 samples for
-B steps); that table depends only on omega, the step size and the block, so
-a bounded cache keeps the recent blocks, and the oracle's memory is a few
-blocks plus that cache, whatever the number of steps. A remainder step is
-its own gain, multiplied in last. Both oracles exist so the digital path can
-be checked against routes that share none of its code.
+master equation with classical RK4. For the damped qubit that equation is
+two scalar Bloch equations, one real for the excited population and one
+complex for the coherence, and the other two entries follow from these. The
+whole steps run in blocks of `_RK4_BLOCK` steps, each equation keeping one
+running product of step gains across them. A block reads its rates from
+the drive modulation sampled on its stretch of the half-step grid, where a
+step's end is the next step's start (2B+1 samples for B steps); that table
+depends only on omega, the step size and the block, so a bounded cache keeps
+the recent blocks, and the oracle's memory is a few blocks plus that cache,
+whatever the number of steps. A remainder step is its own gain, multiplied
+in last. Both oracles exist so the digital path can be checked against
+routes that share none of its code.
 """
 
 from __future__ import annotations
@@ -323,7 +322,10 @@ def run_single(init: InitialState, p: DecayProfile,
     entry of E0 rho E0^dag + E1 rho E1^dag follows one running product or
     sum: the excited population scales as (a ee) a, the coherences by a,
     and the ground population gains (s ee) s. ``accumulate`` runs strictly
-    left to right, so every entry rounds as the step-by-step map does.
+    left to right, so every entry rounds as the step-by-step map does. The
+    map's matrix products sum from +0, so a zero part of a stepped entry is
+    +0 there; adding +0 to the stepped coherences turns their -0 parts (a
+    negative subnormal times a zero) into +0 and changes nothing else.
     """
     kraus = ops.damping_kraus(kappa_schedule(grid, p))
     a, s = kraus[:, 0, 0, 0], kraus[:, 1, 1, 0]
@@ -333,6 +335,8 @@ def run_single(init: InitialState, p: DecayProfile,
     rhos[:, 0, 0] = ee
     rhos[:, 0, 1] = np.multiply.accumulate(np.concatenate([rho0[0, 1:], a]))
     rhos[:, 1, 0] = np.multiply.accumulate(np.concatenate([rho0[1, :1], a]))
+    rhos[1:, 0, 1] += 0.0
+    rhos[1:, 1, 0] += 0.0
     rhos[:, 1, 1] = np.add.accumulate(np.concatenate([rho0[1, 1:], s * ee[:-1] * s]))
     require_density_matrix(rhos[1:], 2, context="single trajectory")
     rhos.flags.writeable = False  # every returned state is a view of this buffer
@@ -424,70 +428,6 @@ def analytic_oracle(init: InitialState, p: DecayProfile, t: float) -> np.ndarray
                      [np.conj(coher), 1.0 - ce * ce]], dtype=complex)
 
 
-def _liouvillian_parts(omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """Constant and rate-proportional parts of the vectorized master equation.
-
-    Row-major vec convention: vec(A rho B) = kron(A, B^T) vec(rho).
-    """
-    ident = ops.IDENTITY_2
-    h = 0.5 * omega * ops.SIGMA_Z
-    ham = -1j * (np.kron(h, ident) - np.kron(ident, h.T))
-    sm, sp = ops.SIGMA_MINUS, ops.SIGMA_PLUS
-    n_op = sp @ sm
-    diss = (np.kron(sm, sp.T)
-            - 0.5 * (np.kron(n_op, ident) + np.kron(ident, n_op.T)))
-    return ham, diss
-
-
-# The eigenbasis shared by the two `_liouvillian_parts`, as columns, and its
-# inverse. Mode 0 is the ground population (the steady state), mode 1 moves
-# population from excited to ground, and modes 2 and 3 are the coherences
-# rho_eg and rho_ge.
-_MODES = np.array([[0, 1, 0, 0],
-                   [0, 0, 1, 0],
-                   [0, 0, 0, 1],
-                   [1, -1, 0, 0]], dtype=complex)
-_MODES_INVERSE = np.array([[1, 0, 0, 1],
-                           [1, 0, 0, 0],
-                           [0, 1, 0, 0],
-                           [0, 0, 1, 0]], dtype=complex)
-_MODES.flags.writeable = _MODES_INVERSE.flags.writeable = False
-
-
-def _liouvillian_modes(omega: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenbasis V shared by the two `_liouvillian_parts`, its inverse, and
-    the parts' eigenvalues h and d: V^-1 H V = diag(h), V^-1 D V = diag(d).
-
-    H and D commute (H is diagonal and D keeps the populations block apart
-    from the coherences block), so one basis diagonalizes both. V is the
-    closed-form integer basis `_MODES`, the same at every omega, in the
-    order mode 0 (h = d = 0), mode 1 (h = 0, d = -1), and the coherences,
-    modes 2 and 3, whose eigenvalues are complex conjugates (h = -+ i omega,
-    d = -1/2). `lindblad_oracle` relies on that structure.
-    Raises IntegrationError if V^-1 H V or V^-1 D V is not diagonal to
-    rounding, i.e. if the parts do not commute, or if the eigenvalues break
-    the structure above.
-    """
-    ham, diss = _liouvillian_parts(omega)
-    eigenvalues = []
-    for name, part in (("H", ham), ("D", diss)):
-        mapped = _MODES_INVERSE @ part @ _MODES
-        diagonal = np.diag(mapped)
-        off = np.abs(mapped - np.diag(diagonal)).max()
-        if not off <= 1e-12 * np.abs(part).max():
-            raise IntegrationError(
-                f"Liouvillian parts share no eigenbasis: V^-1 {name} V has an "
-                f"off-diagonal entry of size {off:.3e}")
-        eigenvalues.append(diagonal)
-    h, d = eigenvalues
-    if not (h[0] == 0 and d[0] == 0 and h[1].imag == 0 and d[1].imag == 0
-            and h[3] == h[2].conjugate() and d[3] == d[2]):
-        raise IntegrationError(
-            "Liouvillian modes lost their structure: need h0 = d0 = 0, a real "
-            f"mode 1 and mode 3 the conjugate of mode 2, got h = {h}, d = {d}")
-    return _MODES, _MODES_INVERSE, h, d
-
-
 def _rk4_gains(ham: complex, diss: complex, rates: np.ndarray, h: float) -> np.ndarray:
     """Classical RK4 gain of every step of y' = lam(t) y, lam = ham + diss *
     rate(t): one mode, each step of size h.
@@ -557,43 +497,43 @@ def _whole_step_rates(n: int, dt: float, p: DecayProfile):
             yield decay_rate(np.empty((3, stop - start)), p)
 
 
-def _blocked_mode_products(rate_blocks, h: float, ham_eig: np.ndarray,
-                           diss_eig: np.ndarray) -> np.ndarray:
-    """Product over the steps of each of the four modes' RK4 gains, steps of
-    size h whose (3, B) decay-rate tables ``rate_blocks`` yields in order.
+def _blocked_mode_products(rate_blocks, h: float, omega: float) -> tuple[float, complex]:
+    """Products P1 and P2 over the steps of the two Bloch equations' RK4
+    gains, steps of size h whose (3, B) decay-rate tables ``rate_blocks``
+    yields in order.
 
-    Mode 0 has gain 1, mode 1 is real, and mode 3 is the conjugate of mode
-    2 (IEEE +, - and * keep conjugate symmetry). One running product per
-    mode, carried from block to block by ``prod(initial=...)``: numpy
-    starts an unseeded product from the identity 1, so the result is the
-    one left-to-right product of all the gains, bit for bit, whatever the
-    block size. A pairwise product would round each level's equal partial
-    products alike under a constant rate, an error growing with n instead
-    of sqrt(n).
+    P1 is the excited population's, rho_ee' = -gamma(t) rho_ee, in real
+    arithmetic; P2 the coherence's, rho_eg' = -(i omega + gamma(t)/2)
+    rho_eg. One running product each, carried from block to block by
+    ``prod(initial=...)``: numpy starts an unseeded product from the
+    identity 1, so the result is the one left-to-right product of all the
+    gains, bit for bit, whatever the block size. A pairwise product would
+    round each level's equal partial products alike under a constant rate,
+    an error growing with n instead of sqrt(n).
     """
     prod1, prod2 = 1.0, complex(1.0)
     for rates in rate_blocks:
-        prod1 = _rk4_gains(ham_eig[1].real, diss_eig[1].real, rates, h).prod(initial=prod1)
-        prod2 = _rk4_gains(ham_eig[2], diss_eig[2], rates, h).prod(initial=prod2)
-    return np.array([1.0, prod1, prod2, prod2.conjugate()])
+        prod1 = _rk4_gains(0.0, -1.0, rates, h).prod(initial=prod1)
+        # a complex -1/2, so the rates are complex before -i omega is added in place
+        prod2 = _rk4_gains(-1j * omega, -0.5 + 0j, rates, h).prod(initial=prod2)
+    return prod1, prod2
 
 
 def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
                     dt_ode: float = 1e-3) -> np.ndarray:
     """Lab-frame state at t_end from RK4 integration of the master equation.
 
-    Fixed-step classical Runge-Kutta on the vectorized equation
-    d vec(rho)/dt = L(t) vec(rho), L(t) = H + gamma(t) D, with steps of
-    dt_ode and one trailing partial step to t_end; global error is
-    O(dt_ode^4). H and D commute, so every L(t) is diagonal in one basis V
-    (`_liouvillian_modes`) with eigenvalues h_j + gamma(t) d_j, and so is
-    each RK4 step matrix, a polynomial in the step's L(t). On mode j a step
-    is the scalar RK4 gain of y' = (h_j + gamma(t) d_j) y, with gamma
-    sampled at the step's start, midpoint and end, and the final state is
-    V diag(P_0, P_1, P_2, P_3) V^-1 vec(rho0) with P_j the product of mode
-    j's gains. Only P_1 (real arithmetic) and P_2 are stepped: mode 0 has
-    h = d = 0, so every gain is exactly 1, and mode 3's arithmetic is the
-    exact conjugate of mode 2's, so P_3 = conj(P_2).
+    For the damped qubit, H = (omega/2) sigma_z and the one jump operator
+    sqrt(gamma(t)) sigma_-, the master equation is two scalar Bloch
+    equations, rho_ee' = -gamma(t) rho_ee and rho_eg' = -(i omega +
+    gamma(t)/2) rho_eg (Breuer & Petruccione, The Theory of Open Quantum
+    Systems, 3.4); rho_ge is the conjugate of rho_eg and rho_gg takes what
+    rho_ee loses. Each is stepped by fixed-step classical Runge-Kutta with
+    steps of dt_ode and one trailing partial step to t_end, gamma sampled at
+    each step's start, midpoint and end; global error is O(dt_ode^4). With
+    P1 and P2 the products of the two equations' step gains, the state is
+    rho_ee = P1 ee, rho_eg = P2 eg, rho_ge = conj(P2) ge and rho_gg =
+    (ee + gg) - P1 ee, from rho0 = [[ee, eg], [ge, gg]].
 
     The whole steps run in blocks of `_RK4_BLOCK` steps
     (`_blocked_mode_products`), each block's rates read from the drive
@@ -609,7 +549,8 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
     that is not positive and finite, or more steps than the half-step grid
     can index (checked before anything is allocated). Raises
     IntegrationError if the trace drifts by more than 1e-6 or is no longer
-    finite, the sign of a step size too coarse for the dynamics.
+    finite, or if a gain overflows to a non-finite entry the trace does not
+    see (a coherence), the sign of a step size too coarse for the dynamics.
     """
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be nonnegative and finite, got {t_end}")
@@ -620,24 +561,30 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
         raise ValueError(f"t_end = {t_end} at dt_ode = {dt_ode} needs {n_full:.6g} RK4 "
                          f"steps, more than the {_MAX_RK4_STEPS} its half-step grid "
                          f"can index")
-    modes, inverse, ham_eig, diss_eig = _liouvillian_modes(p.omega)
     n_full = int(n_full)
     tail = rem > 1e-12 * max(1.0, t_end)
+    rho0 = init.density_matrix()
     if not (n_full or tail):
-        return init.density_matrix()
-    # a step too coarse for a stiff rate overflows the gains; the trace
-    # check below must be the only signal
+        return rho0
+    # a step too coarse for a stiff rate overflows the gains; the checks
+    # below must be the only signal
     with np.errstate(over="ignore", invalid="ignore"):
-        prods = _blocked_mode_products(_whole_step_rates(n_full, dt_ode, p), dt_ode,
-                                       ham_eig, diss_eig)
+        gains = np.array(_blocked_mode_products(_whole_step_rates(n_full, dt_ode, p),
+                                                dt_ode, p.omega))
         if tail:
             start = n_full * dt_ode
             rates = decay_rate(start + rem * np.array([[0.0], [0.5], [1.0]]), p)
             # an array multiply: a numpy scalar product rounds apart from it
-            prods *= _blocked_mode_products([rates], rem, ham_eig, diss_eig)
-        v = modes @ (prods * (inverse @ init.density_matrix().reshape(4)))
-    rho = v.reshape(2, 2)
-    drift = abs(rho.trace() - 1.0)
+            gains *= _blocked_mode_products([rates], rem, p.omega)
+        p1, p2 = gains
+        # one array multiply with each gain on the left of its entry: numpy's
+        # complex multiply rounds a*b and b*a apart
+        rho = np.array([[p1, p2], [p2.conjugate(), 0.0]]) * rho0
+        rho[1, 1] = rho0.trace() - rho[0, 0]
+        drift = abs(rho.trace() - 1.0)
     if not drift <= 1e-6:
         raise IntegrationError(f"trace drifted by {drift:.3e}; decrease dt_ode")
+    if not np.isfinite(rho).all():
+        raise IntegrationError("RK4 gains overflow to a non-finite state entry; "
+                               "decrease dt_ode")
     return rho

@@ -19,8 +19,8 @@ class NumericsError(RuntimeError):
 
 class IntegrationError(NumericsError):
     """An integration failed: the decay-integral quadrature cannot reach its
-    tolerance (the rate overflows), the RK4 oracle's trace drifted, or the
-    oracle's Liouvillian parts share no eigenbasis."""
+    tolerance (the rate overflows), or the RK4 oracle's trace drifted or its
+    gains overflowed to a non-finite state entry."""
 
 
 class StateError(NumericsError):
