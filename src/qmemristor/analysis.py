@@ -218,6 +218,12 @@ def concurrence(rho: np.ndarray) -> float | np.ndarray:
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise DimensionError(f"concurrence expects a 4x4 state, got {rho.shape}")
     require_density_matrix(rho, 4, context="concurrence input")
+    return _wootters_concurrence(rho)
+
+
+def _wootters_concurrence(rho: np.ndarray) -> float | np.ndarray:
+    """`concurrence` of a complex 4x4 state or (n, 4, 4) stack that is
+    already validated, such as a trajectory `dynamics.run_coupled` returns."""
     sqrt_rho, evals = _psd_sqrt(rho)
     m = sqrt_rho @ _spin_flip(rho) @ sqrt_rho
     # in place, sparing a stack-sized temporary (dagger(m) is a copy, not a view)

@@ -6,6 +6,10 @@ array adaptive Simpson whose panels refine together, one level per pass, so a
 whole schedule's steps are integrated in one call. One qubit needs no step
 loop (`run_single` keeps each state entry as a running product or sum); two
 coupled qubits are stepped together for every coupling spec (`run_coupled`).
+Every row of a damping Kraus term has at most one nonzero entry, so a
+coupled step gathers the terms' entries from the state through one constant
+index table and scales them by two per-step coefficient tables, with no
+matrix product until the coupling gate.
 `kappa` gives the same integral over any interval in closed form, from the
 Jacobi-Anger series of the rate (Abramowitz & Stegun 9.1.42-9.1.45).
 `analytic_oracle` evaluates the closed-form interaction-picture solution
@@ -123,8 +127,14 @@ class InitialState:
                          math.sin(self.a) * np.exp(1j * self.b)], dtype=complex)
 
     def density_matrix(self) -> np.ndarray:
+        """|psi><psi|, exactly Hermitian: the outer product can round the
+        imaginary part of psi_g conj(psi_g) apart from zero (a fused
+        multiply-add keeps a product's rounding error), so rho_gg keeps
+        only its real part."""
         psi = self.ket()
-        return np.outer(psi, psi.conj())
+        rho = np.outer(psi, psi.conj())
+        rho[1, 1] = rho[1, 1].real
+        return rho
 
 
 @dataclass(frozen=True)
@@ -352,61 +362,96 @@ def run_coupled(init1: InitialState, init2: InitialState,
     the two qubits' Kraus operators, four terms, summed in order from the
     first by one ``np.add.reduce``) and then conjugates each trajectory by
     its own coupling gate A as A^dag rho A, with A built once per spec;
-    that product is written straight into the returned array. A step is
-    five numpy calls into buffers reused by every step (`_step_coupled`),
-    the same arithmetic as the term-by-term loop in the same order.
+    that product is written straight into the returned array. Every row of
+    a Kronecker term has at most one nonzero entry, and it is real, so a
+    term's entries are gathered from the state by one ``np.take`` and
+    scaled by two per-step coefficient tables (`_term_coefficients`):
+    six numpy calls per step into buffers reused by every step
+    (`_step_coupled`), bit for bit the term-by-term matrix products.
     Everything but the gate is shared: one kappa schedule and one
-    ``damping_kraus`` call per distinct profile, and one Kraus stack, step
-    all trajectories together. Returns the states as one read-only
-    (len(specs), n_steps+1, 4, 4) array; slice b is bit for bit the run
-    with ``specs[b]`` alone, and each trajectory is validated on its own, so
-    an error names the step as a lone run's would. Requires both profiles
-    to share omega so one grid drives both.
+    ``damping_kraus`` call per distinct profile, and one pair of
+    coefficient tables, step all trajectories together. Returns the states
+    as one read-only (len(specs), n_steps+1, 4, 4) array; slice b is bit
+    for bit the run with ``specs[b]`` alone, and each trajectory is
+    validated on its own, so an error names the step as a lone run's
+    would. Requires both profiles to share omega so one grid drives both.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
     k1 = kappa_schedule(grid, p1)
     k2 = k1 if p2 == p1 else kappa_schedule(grid, p2)
-    kraus1 = ops.damping_kraus(k1)
-    kraus2 = kraus1 if k2 is k1 else ops.damping_kraus(k2)
     gates = np.array([dagger(ops.interaction_unitary(spec)) for spec in specs],
                      dtype=complex).reshape(-1, 4, 4)
     rhos = np.empty((len(gates), len(k1) + 1, 4, 4), dtype=complex)
     rhos[:, 0] = np.broadcast_to(np.kron(init1.density_matrix(), init2.density_matrix()),
                                  gates.shape)
-    # the stepping's operator stacks are freed on its return, before the
+    # the coefficient tables are freed on the stepping's return, before the
     # validation allocates its own
-    _step_coupled(rhos.swapaxes(0, 1), kraus1, kraus2, gates)
+    _step_coupled(rhos.swapaxes(0, 1), *_term_coefficients(k1, k2), gates)
     for trajectory in rhos:
         require_density_matrix(trajectory[1:], 4, context="coupled trajectory")
     rhos.flags.writeable = False
     return rhos
 
 
-def _step_coupled(states: np.ndarray, kraus1: np.ndarray, kraus2: np.ndarray,
+# Each row of E0 = diag(a, 1) and of E1 = s|g><e| has at most one nonzero
+# entry, and it is real; _KRAUS_COLUMN[t, r] is its column in row r of
+# term t. Row 0 of E1 is empty: its column is 0, with coefficient 0.
+_KRAUS_COLUMN = np.array([[0, 1], [0, 0]])
+# the same for the Kronecker term k = 2 t1 + t2, row i = 2 r1 + r2 (np.kron's order)
+_TERM_COLUMN = (2 * _KRAUS_COLUMN[:, None, :, None]
+                + _KRAUS_COLUMN[None, :, None, :]).reshape(4, 4)
+# entry 4i + j of term k of K rho K^dag is c_i rho[m(i), m(j)] c_j, with
+# m(i) the column of row i's nonzero c_i: the flat index of rho[m(i), m(j)]
+_TERM_INDEX = (4 * _TERM_COLUMN[:, :, None] + _TERM_COLUMN[:, None, :]).reshape(4, 16)
+
+
+def _term_coefficients(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-step left and right coefficient tables of the four Kronecker
+    terms of the two qubits' damping Kraus operators for kappas k1, k2.
+
+    Each is an (n_steps, 4, 16) float64 array: entry 4i + j of term k holds
+    c_i in ``left`` and c_j in ``right``, c_i being the nonzero entry of
+    row i of the term (0 for an empty row). c_i is the float64 product of
+    the two qubits' entries, the same bits as the real part of np.kron's
+    complex product (whose imaginary parts are exact zeros). The Kraus
+    stacks live only inside this call; the tables are 1 KiB per step.
+    """
+    kraus1 = ops.damping_kraus(k1)
+    kraus2 = kraus1 if k2 is k1 else ops.damping_kraus(k2)
+    terms, rows = [[0], [1]], [0, 1]
+    c1, c2 = (kraus.real[:, terms, rows, _KRAUS_COLUMN] for kraus in (kraus1, kraus2))
+    c = (c1[:, :, None, :, None] * c2[:, None, :, None, :]).reshape(-1, 4, 4)
+    return np.repeat(c, 4, axis=2), np.tile(c, (1, 1, 4))
+
+
+def _step_coupled(states: np.ndarray, left: np.ndarray, right: np.ndarray,
                   gates: np.ndarray) -> None:
     """Fill states[1:] from states[0], one step at a time.
 
-    ``states[i]`` holds step i of every trajectory, ``kraus1`` and
-    ``kraus2`` are the two qubits' per-step Kraus stacks, and ``gates``
-    holds each trajectory's A^dag.
+    ``states[i]`` holds step i of every trajectory, ``left`` and ``right``
+    are the per-step coefficient tables of `_term_coefficients`, and
+    ``gates`` holds each trajectory's A^dag.
+
+    Entry (i, j) of a term K rho K^dag is (c_i rho[m(i), m(j)]) c_j. BLAS
+    rounds the two matrix products to these bits, as every other product
+    in its sums is an exact zero; only the sign of an exact zero can
+    differ, and no stored state sees it (the gate's products sum from +0).
     """
-    # np.kron of every term pair as one broadcast multiply (same entries),
-    # in the order e0, e1 (x) e0, e1; each step's (4, 1, 4, 4) operators
-    # broadcast over the trajectories
-    kraus = (kraus1[:, :, None, :, None, :, None]
-             * kraus2[:, None, :, None, :, None, :]).reshape(-1, 4, 4, 4)[:, :, None]
-    kraus_h = dagger(kraus)
+    n_b = len(gates)
     gates_h = dagger(gates)
-    # each step's products and term sum go into these, reused step to step
-    half, terms = np.empty((2, 4, *gates.shape), dtype=complex)
-    damped, gated = np.empty((2, *gates.shape), dtype=complex)
-    for k, k_h, rho, out in zip(kraus, kraus_h, states[:-1], states[1:]):
-        np.matmul(k, rho, out=half)
-        np.matmul(half, k_h, out=terms)
-        # the terms summed in order, term 0 first; a -0.0 this loses never
-        # reaches a stored state, as the gate's products sum from +0.0
-        np.add.reduce(terms, axis=0, out=damped)
+    # each step's term entries, their sum and the gate's first product go
+    # into these, reused step to step
+    terms = np.empty((n_b, 4, 16), dtype=complex)
+    damped, gated = np.empty((2, n_b, 4, 4), dtype=complex)
+    damped_flat = damped.reshape(n_b, 16)
+    for c_i, c_j, rho, out in zip(left, right, states[:-1], states[1:]):
+        # "clip" spares take's buffered bounds check; every index is in range
+        np.take(rho.reshape(n_b, 16), _TERM_INDEX, axis=1, out=terms, mode="clip")
+        terms *= c_i
+        terms *= c_j
+        # the terms summed in order, term 0 first
+        np.add.reduce(terms, axis=1, out=damped_flat)
         np.matmul(gates, damped, out=gated)
         np.matmul(gated, gates_h, out=out)
 

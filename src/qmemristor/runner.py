@@ -60,7 +60,9 @@ def _coupled_results(configs: list[RunConfig], parts: list[RunComponents]):
     The configs may differ only in their coupling, so one
     `dynamics.run_coupled` call steps them all; concurrence and the
     analysis run per trajectory, on its read-only (n_steps+1, 4, 4) slice
-    of the stepped array.
+    of the stepped array. `run_coupled` has validated every slice (its
+    first state is the product of two validated pure states), so the
+    concurrence skips `analysis.concurrence`'s second validation.
     """
     if not parts:
         return
@@ -69,7 +71,7 @@ def _coupled_results(configs: list[RunConfig], parts: list[RunComponents]):
                                 first.profile2, first.grid,
                                 [p.interaction for p in parts])
     for config, p, trajectory in zip(configs, parts, rhos):
-        yield _analyse(config, p, trajectory, analysis.concurrence(trajectory))
+        yield _analyse(config, p, trajectory, analysis._wootters_concurrence(trajectory))
 
 
 def _analyse(config: RunConfig, parts: RunComponents, states: np.ndarray,
@@ -115,15 +117,15 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     ``pinch_tol`` and every delta's config are validated before any stepping
     or write, with the config layer's type rule (a real number, not a bool
     or None), so an invalid one raises ConfigError with nothing on disk. All
-    deltas are then stepped together by one `dynamics.run_coupled` call (one
-    kappa schedule, one Kraus stack, one gate per delta), and each delta's
-    trajectory is analysed, and written if asked, as `run` would. The scan
-    holds every delta's states at once, about 0.3 MB per delta at fig9's
-    1200 steps. Pinch pass/fail compares the worst per-period pinch distance
-    against ``pinch_tol``; death/birth counts come from the concurrence
-    series. Writes per-delta run directories plus scan_summary.csv when
-    ``out_dir`` is given; deltas whose directory names (4 decimals) collide
-    are then rejected first.
+    deltas are then stepped together by one `dynamics.run_coupled` call
+    (one kappa schedule, one pair of coefficient tables, one gate per
+    delta), and each delta's trajectory is analysed, and written if asked,
+    as `run` would. The scan holds every delta's states at once, about
+    0.3 MB per delta at fig9's 1200 steps. Pinch pass/fail compares the
+    worst per-period pinch distance against ``pinch_tol``; death/birth
+    counts come from the concurrence series. Writes per-delta run
+    directories plus scan_summary.csv when ``out_dir`` is given; deltas
+    whose directory names (4 decimals) collide are then rejected first.
     """
     if base.mode != "coupled":
         raise ConfigError("delta_scan needs a coupled configuration")

@@ -396,6 +396,15 @@ class TestLindbladOracle:
         assert out[0, 1].imag != 0
         assert out[1, 0] == out[0, 1].conjugate()
 
+    @given(a=st.floats(0.0, math.pi / 2), b=st.floats(0.0, 2 * math.pi, exclude_max=True),
+           t_end=st.floats(0.0, 3.0))
+    @example(a=0.4, b=0.9, t_end=1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_result_is_exactly_hermitian(self, a, b, t_end):
+        # rho_gg is the trace less rho_ee, both real once rho0 is Hermitian
+        out = lindblad_oracle(InitialState(a, b), FIG4_PROFILE, t_end)
+        assert np.array_equal(out, out.conj().T)
+
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             lindblad_oracle(FIG4_INIT, FIG4_PROFILE, 1.0, 0.0)
@@ -635,6 +644,51 @@ class TestTypeValidation:
         psi = InitialState(0.7, 1.3).ket()
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-14)
 
+    @given(a=st.floats(0.0, math.pi / 2), b=st.floats(0.0, 2 * math.pi, exclude_max=True))
+    # np.outer rounds psi_g conj(psi_g) to imaginary part -4.04e-18 here
+    @example(a=0.4, b=0.9)
+    def test_initial_density_matrix_is_exactly_hermitian(self, a, b):
+        psi = InitialState(a, b).ket()
+        rho = InitialState(a, b).density_matrix()
+        assert np.array_equal(rho, rho.conj().T)
+        # only rho_gg's imaginary part differs from the plain outer product
+        outer = np.outer(psi, psi.conj())
+        assert_same_bits(rho.real, outer.real)
+        assert_same_bits(rho[0], outer[0])
+        assert_same_bits(rho[1, 0], outer[1, 0])
+
+
+kappa_lists = st.lists(st.one_of(st.floats(-50.0, 0.0), st.sampled_from((0.0, -1e4))),
+                       min_size=1, max_size=4)
+
+
+class TestTermTables:
+    """The gather form of `_step_coupled` against np.kron of the Kraus terms."""
+
+    @given(k1=kappa_lists, k2=kappa_lists, shared=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_tables_rebuild_every_kronecker_term(self, k1, k2, shared):
+        k1 = np.array(k1)
+        k2 = k1 if shared else np.resize(np.array(k2), k1.shape)
+        left, right = dynamics._term_coefficients(k1, k2)
+        assert left.shape == right.shape == (len(k1), 4, 16)
+        assert left.dtype == right.dtype == np.float64
+        kraus1, kraus2 = damping_kraus(k1), damping_kraus(k2)
+        # entry 4i + j of term k gathers rho[m(i), m(j)] and scales it by
+        # c_i (left) and c_j (right)
+        row, col = np.divmod(dynamics._TERM_INDEX, 4)
+        for n in range(len(k1)):
+            for k in range(4):
+                m, c = row[k, ::4], left[n, k, ::4]
+                assert np.array_equal(row[k], np.repeat(m, 4))
+                assert np.array_equal(col[k], np.tile(m, 4))
+                assert_same_bits(left[n, k], np.repeat(c, 4))
+                assert_same_bits(right[n, k], np.tile(c, 4))
+                # row i of the term is c_i at column m(i) and +0 elsewhere
+                rebuilt = np.zeros((4, 4))
+                rebuilt[np.arange(4), m] = c
+                assert_same_bits(rebuilt + 0j, np.kron(kraus1[n, k // 2], kraus2[n, k % 2]))
+
 
 # The per-qubit trajectory loops: one Kraus map per step, applied as matrix
 # products. run_single's running products and sums and run_coupled's stacked
@@ -706,23 +760,36 @@ couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),
 EXCITED, GROUND, TILTED = InitialState(0.0, 0.0), InitialState(math.pi / 2, 0.0), \
     InitialState(0.7, 1.3)
 RATE = DecayProfile(0.3, 1.0)
+ZERO_RATE = DecayProfile(0.3, 1.0, constant_rate=0.0)
+UNDERFLOW_RATE = DecayProfile(1.0, 1.0, constant_rate=1e4)
 ROTATION = InteractionSpec("controlled_rotation", "y", 0.7)
 COUPLED_EDGE_CASES = {
-    "excited": (EXCITED, EXCITED, RATE, TimeGrid(2, 12), ROTATION),
-    "ground": (GROUND, GROUND, RATE, TimeGrid(2, 12), ROTATION),
-    "excited_ground": (EXCITED, GROUND, RATE, TimeGrid(2, 12), ROTATION),
-    "ground_excited": (GROUND, EXCITED, RATE, TimeGrid(2, 12), ROTATION),
-    "zero_rate": (TILTED, TILTED, DecayProfile(0.3, 1.0, constant_rate=0.0),
-                  TimeGrid(2, 12), ROTATION),
-    "shortest_grid": (TILTED, EXCITED, RATE, TimeGrid(1, 8), ROTATION),
+    "excited": (EXCITED, EXCITED, RATE, RATE, TimeGrid(2, 12), ROTATION),
+    "ground": (GROUND, GROUND, RATE, RATE, TimeGrid(2, 12), ROTATION),
+    "excited_ground": (EXCITED, GROUND, RATE, RATE, TimeGrid(2, 12), ROTATION),
+    "ground_excited": (GROUND, EXCITED, RATE, RATE, TimeGrid(2, 12), ROTATION),
+    "zero_rate": (TILTED, TILTED, ZERO_RATE, ZERO_RATE, TimeGrid(2, 12), ROTATION),
+    # s = 0 on the first qubit only: its E1 is empty, every coefficient of
+    # terms 2 and 3 is 0, while the second qubit decays
+    "zero_rate_one_qubit": (TILTED, EXCITED, ZERO_RATE, RATE, TimeGrid(2, 12), ROTATION),
+    # e^kappa underflows to 0 at kappa = -3927: a = 0 and s = 1 on every step
+    "amplitude_underflows": (TILTED, TILTED, UNDERFLOW_RATE, UNDERFLOW_RATE,
+                             TimeGrid(1, 8), ROTATION),
+    "amplitude_underflows_one_qubit": (TILTED, TILTED, RATE, UNDERFLOW_RATE,
+                                       TimeGrid(1, 8), ROTATION),
+    # two kappa schedules, so the two qubits' coefficients differ on every step
+    "different_gamma0": (TILTED, TILTED, DecayProfile(0.05, 1.0), DecayProfile(0.8, 1.0),
+                         TimeGrid(2, 12), ROTATION),
+    "shortest_grid": (TILTED, EXCITED, RATE, RATE, TimeGrid(1, 8), ROTATION),
     # dt rounds to 0.0, so every kappa is +0.0 and every step the gate alone
-    "empty_steps": (TILTED, TILTED, DecayProfile(0.3, 1e308), TimeGrid(1, 30), ROTATION),
-    "kind_none": (TILTED, TILTED, RATE, TimeGrid(2, 12), InteractionSpec("none", "x", 0.7)),
+    "empty_steps": (TILTED, TILTED, DecayProfile(0.3, 1e308), DecayProfile(0.3, 1e308),
+                    TimeGrid(1, 30), ROTATION),
+    "kind_none": (TILTED, TILTED, RATE, RATE, TimeGrid(2, 12), InteractionSpec("none", "x", 0.7)),
     # a subnormal coherence -5e-324 - 0j, whose signed zeros the single stepper
     # once got wrong
     "subnormal_coherence": (InitialState(5e-324, 3.0), TILTED, DecayProfile(1.0, 1.0),
-                            TimeGrid(1, 8), ROTATION),
-    **{f"{kind}_delta_0": (TILTED, EXCITED, RATE, TimeGrid(1, 12),
+                            DecayProfile(1.0, 1.0), TimeGrid(1, 8), ROTATION),
+    **{f"{kind}_delta_0": (TILTED, EXCITED, RATE, RATE, TimeGrid(1, 12),
                            InteractionSpec(kind, "x", 0.0))
        for kind in ops.INTERACTION_KINDS},
 }
@@ -767,13 +834,13 @@ class TestStepperMatchesReferenceLoops:
         rhos = run_coupled(init1, init2, p1, p2, grid, [spec])
         assert_stack_identical(rhos[0], reference_coupled(init1, init2, p1, p2, grid, spec))
 
-    @pytest.mark.parametrize("init1, init2, p, grid, spec", COUPLED_EDGE_CASES.values(),
+    @pytest.mark.parametrize("init1, init2, p1, p2, grid, spec", COUPLED_EDGE_CASES.values(),
                              ids=COUPLED_EDGE_CASES.keys())
-    def test_coupled_edge_cases(self, init1, init2, p, grid, spec):
+    def test_coupled_edge_cases(self, init1, init2, p1, p2, grid, spec):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rhos = run_coupled(init1, init2, p, p, grid, [spec])
-            reference = reference_coupled(init1, init2, p, p, grid, spec)
+            rhos = run_coupled(init1, init2, p1, p2, grid, [spec])
+            reference = reference_coupled(init1, init2, p1, p2, grid, spec)
         assert_stack_identical(rhos[0], reference)
 
     @given(data=st.data(), init1=initial_states, init2=initial_states,
