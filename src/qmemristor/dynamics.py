@@ -8,8 +8,9 @@ loop (`run_single` keeps each state entry as a running product or sum); two
 coupled qubits are stepped together for every coupling spec (`run_coupled`).
 Every row of a damping Kraus term has at most one nonzero entry, so a
 coupled step gathers the terms' entries from the state through one constant
-index table and scales them by two per-step coefficient tables, with no
-matrix product until the coupling gate.
+index table and scales them by each row's coefficient, read from one
+complex table of 256 B per step, with no matrix product until the coupling
+gate.
 `kappa` gives the same integral over any interval in closed form, from the
 Jacobi-Anger series of the rate (Abramowitz & Stegun 9.1.42-9.1.45).
 `analytic_oracle` evaluates the closed-form interaction-picture solution
@@ -55,6 +56,9 @@ _ROUNDING_FLOOR = 64 * sys.float_info.epsilon
 # faulting in fresh ones (at 4096 steps that table is mapped afresh, about
 # 96 page faults per fig4 call)
 _RK4_BLOCK = 2048
+# coupled steps per block of `_step_coupled`: a block's two spread
+# coefficient tables are 64 KiB each, below glibc's 128 KiB mmap threshold
+_COUPLED_BLOCK = 64
 # modulation blocks the cache keeps: a fig4 criterion-1 call (25132 steps of
 # 1e-3) reads 13 blocks, so two such step grids stay warm, in 1.5 MiB
 _MODULATION_CACHE_BLOCKS = 32
@@ -364,17 +368,18 @@ def run_coupled(init1: InitialState, init2: InitialState,
     its own coupling gate A as A^dag rho A, with A built once per spec;
     that product is written straight into the returned array. Every row of
     a Kronecker term has at most one nonzero entry, and it is real, so a
-    term's entries are gathered from the state by one ``np.take`` and
-    scaled by two per-step coefficient tables (`_term_coefficients`):
-    six numpy calls per step into buffers reused by every step
-    (`_step_coupled`), bit for bit the term-by-term matrix products.
-    Everything but the gate is shared: one kappa schedule and one
-    ``damping_kraus`` call per distinct profile, and one pair of
-    coefficient tables, step all trajectories together. Returns the states
-    as one read-only (len(specs), n_steps+1, 4, 4) array; slice b is bit
-    for bit the run with ``specs[b]`` alone, and each trajectory is
-    validated on its own, so an error names the step as a lone run's
-    would. Requires both profiles to share omega so one grid drives both.
+    term's entries are gathered from the state by one ``take`` and scaled
+    by their rows' coefficients from one per-step table
+    (`_term_coefficients`): six numpy calls per step into buffers reused
+    by every step (`_step_coupled`), on 2-D arrays for a lone spec, bit for
+    bit the term-by-term matrix products. Everything but the gate is
+    shared: one kappa schedule and one ``damping_kraus`` call per distinct
+    profile, and one coefficient table, step all trajectories together.
+    Returns the states as one read-only (len(specs), n_steps+1, 4, 4)
+    array; slice b is bit for bit the run with ``specs[b]`` alone, and each
+    trajectory is validated on its own, so an error names the step as a
+    lone run's would. Requires both profiles to share omega so one grid
+    drives both.
     """
     if p1.omega != p2.omega:
         raise ValueError(f"profiles must share omega, got {p1.omega} and {p2.omega}")
@@ -385,9 +390,9 @@ def run_coupled(init1: InitialState, init2: InitialState,
     rhos = np.empty((len(gates), len(k1) + 1, 4, 4), dtype=complex)
     rhos[:, 0] = np.broadcast_to(np.kron(init1.density_matrix(), init2.density_matrix()),
                                  gates.shape)
-    # the coefficient tables are freed on the stepping's return, before the
+    # the coefficient table is freed on the stepping's return, before the
     # validation allocates its own
-    _step_coupled(rhos.swapaxes(0, 1), *_term_coefficients(k1, k2), gates)
+    _step_coupled(rhos.swapaxes(0, 1), _term_coefficients(k1, k2), gates)
     for trajectory in rhos:
         require_density_matrix(trajectory[1:], 4, context="coupled trajectory")
     rhos.flags.writeable = False
@@ -406,54 +411,69 @@ _TERM_COLUMN = (2 * _KRAUS_COLUMN[:, None, :, None]
 _TERM_INDEX = (4 * _TERM_COLUMN[:, :, None] + _TERM_COLUMN[:, None, :]).reshape(4, 16)
 
 
-def _term_coefficients(k1: np.ndarray, k2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step left and right coefficient tables of the four Kronecker
-    terms of the two qubits' damping Kraus operators for kappas k1, k2.
+def _term_coefficients(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Per-step coefficients of the four Kronecker terms of the two qubits'
+    damping Kraus operators for kappas k1, k2.
 
-    Each is an (n_steps, 4, 16) float64 array: entry 4i + j of term k holds
-    c_i in ``left`` and c_j in ``right``, c_i being the nonzero entry of
-    row i of the term (0 for an empty row). c_i is the float64 product of
-    the two qubits' entries, the same bits as the real part of np.kron's
-    complex product (whose imaginary parts are exact zeros). The Kraus
-    stacks live only inside this call; the tables are 1 KiB per step.
+    A read-only complex (n_steps, 4, 4) table: entry [n, k, i] is c_i of
+    term k at step n, the nonzero entry of the term's row i (0 for an empty
+    row). Its real part is the float64 product of the two qubits' entries,
+    the same bits as the real part of np.kron's complex product, and its
+    imaginary part is exactly +0: the operand a complex-by-float multiply
+    would cast c_i to, so the stepping's complex products see the same
+    values without a cast per step. The Kraus stacks live only inside this
+    call; the table is 256 B per step.
     """
     kraus1 = ops.damping_kraus(k1)
     kraus2 = kraus1 if k2 is k1 else ops.damping_kraus(k2)
     terms, rows = [[0], [1]], [0, 1]
     c1, c2 = (kraus.real[:, terms, rows, _KRAUS_COLUMN] for kraus in (kraus1, kraus2))
-    c = (c1[:, :, None, :, None] * c2[:, None, :, None, :]).reshape(-1, 4, 4)
-    return np.repeat(c, 4, axis=2), np.tile(c, (1, 1, 4))
+    table = (c1[:, :, None, :, None] * c2[:, None, :, None, :]).reshape(-1, 4, 4).astype(complex)
+    table.flags.writeable = False
+    return table
 
 
-def _step_coupled(states: np.ndarray, left: np.ndarray, right: np.ndarray,
-                  gates: np.ndarray) -> None:
+def _step_coupled(states: np.ndarray, table: np.ndarray, gates: np.ndarray) -> None:
     """Fill states[1:] from states[0], one step at a time.
 
-    ``states[i]`` holds step i of every trajectory, ``left`` and ``right``
-    are the per-step coefficient tables of `_term_coefficients`, and
-    ``gates`` holds each trajectory's A^dag.
+    ``states[i]`` holds step i of every trajectory, ``table`` is the
+    per-step coefficient table of `_term_coefficients`, and ``gates`` holds
+    each trajectory's A^dag. With one trajectory the batch axis is dropped,
+    so every call runs on 2-D operands and the gate products call zgemm
+    directly rather than through matmul's stacked loop; a batch keeps it.
 
-    Entry (i, j) of a term K rho K^dag is (c_i rho[m(i), m(j)]) c_j. BLAS
-    rounds the two matrix products to these bits, as every other product
-    in its sums is an exact zero; only the sign of an exact zero can
-    differ, and no stored state sees it (the gate's products sum from +0).
+    Entry 4i + j of a term K rho K^dag is (c_i rho[m(i), m(j)]) c_j. Each
+    block of `_COUPLED_BLOCK` steps spreads its rows of the table to c_i
+    and c_j for every entry, so both in-place scalings are same-shape
+    complex products, numpy's contiguous loop with neither a broadcast nor
+    a cast per step. BLAS rounds the two matrix products to these bits, as
+    every other product in its sums is an exact zero; only the sign of an
+    exact zero can differ, and no stored state sees it (the gate's products
+    sum from +0).
     """
-    n_b = len(gates)
+    if len(gates) == 1:
+        states, gates = states[:, 0], gates[0]
+    batch = gates.shape[:-2]
     gates_h = dagger(gates)
     # each step's term entries, their sum and the gate's first product go
     # into these, reused step to step
-    terms = np.empty((n_b, 4, 16), dtype=complex)
-    damped, gated = np.empty((2, n_b, 4, 4), dtype=complex)
-    damped_flat = damped.reshape(n_b, 16)
-    for c_i, c_j, rho, out in zip(left, right, states[:-1], states[1:]):
-        # "clip" spares take's buffered bounds check; every index is in range
-        np.take(rho.reshape(n_b, 16), _TERM_INDEX, axis=1, out=terms, mode="clip")
-        terms *= c_i
-        terms *= c_j
-        # the terms summed in order, term 0 first
-        np.add.reduce(terms, axis=1, out=damped_flat)
-        np.matmul(gates, damped, out=gated)
-        np.matmul(gated, gates_h, out=out)
+    terms = np.empty((*batch, 4, 16), dtype=complex)
+    damped, gated = np.empty((2, *batch, 4, 4), dtype=complex)
+    damped_flat = damped.reshape(*batch, 16)
+    # a view: the state axes of run_coupled's buffer are contiguous
+    flat = states.reshape(len(states), *batch, 16)
+    for start in range(0, len(table), _COUPLED_BLOCK):
+        block = table[start:start + _COUPLED_BLOCK]
+        for c_i, c_j, rho, out in zip(np.repeat(block, 4, axis=2), np.tile(block, (1, 1, 4)),
+                                      flat[start:-1], states[start + 1:]):
+            # "clip" spares take's buffered bounds check; every index is in range
+            rho.take(_TERM_INDEX, axis=-1, out=terms, mode="clip")
+            terms *= c_i
+            terms *= c_j
+            # the terms summed in order, term 0 first
+            np.add.reduce(terms, axis=-2, out=damped_flat)
+            np.matmul(gates, damped, out=gated)
+            np.matmul(gated, gates_h, out=out)
 
 
 def analytic_oracle(init: InitialState, p: DecayProfile, t: float) -> np.ndarray:

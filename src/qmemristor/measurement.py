@@ -16,12 +16,15 @@ at once, as a uint64 table: numpy's SeedSequence hash vectorized over i,
 then PCG64's 128-bit seeding step on 64-bit limbs. It draws every point
 from one Generator, whose {state, inc} words it finds through the public
 ``ctypes.state_address``, checks against the public state getter, and then
-overwrites with each point's table row before numpy's own ``binomial``.
+overwrites with each point's table row before numpy's own ``binomial``. A
+numpy whose words match no known layout gets each row through the public
+state setter instead: the same draws, slower, logged once per process.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import logging
 import math
 import operator
@@ -235,6 +238,32 @@ def _pcg64_state_words(bit_generator: np.random.PCG64) -> tuple[np.ndarray, list
                        f"(has_uint32 {public['has_uint32']})")
 
 
+def _draw_through_public_setter(gen: np.random.Generator, table: np.ndarray,
+                                p_up: np.ndarray, shots: int) -> list[int]:
+    """The binomial count of every point, each drawn after setting its
+    `_pcg64_states` row through numpy's public ``bit_generator.state``
+    setter: the same states and draws as the direct write, about twice as
+    slow. For PCG64 words in memory that match no known layout; logs one
+    WARNING per process.
+    """
+    _warn_unknown_layout()
+    counts = []
+    for (state_lo, state_hi, inc_lo, inc_hi), p in zip(table.tolist(), p_up.tolist()):
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0, "uinteger": 0}
+        counts.append(gen.binomial(shots, p))
+    return counts
+
+
+@functools.cache
+def _warn_unknown_layout() -> None:
+    log.warning("numpy %s: PCG64's state words match no known layout, so sampled mode "
+                "sets each point's state through the public bit_generator.state setter, "
+                "about twice as slow", np.__version__)
+
+
 def sampled_expectation(exact, axis: str, cfg: ShotConfig,
                         stream: tuple[int, ...] = ()):
     """Binomial shot estimate of <sigma_axis>, whose exact value is ``exact``.
@@ -258,12 +287,16 @@ def sampled_expectation(exact, axis: str, cfg: ShotConfig,
     # copied as one 32-byte item into the verified words, and the binomial's
     # cached setup depends only on (shots, p)
     gen = np.random.Generator(np.random.PCG64(0))
-    words, order = _pcg64_state_words(gen.bit_generator)
-    counts = []
-    items = np.ascontiguousarray(table[:, order]).view("V32")[:, 0]
-    for state, p in zip(items, p_up.tolist()):
-        words[0] = state
-        counts.append(gen.binomial(cfg.shots, p))
+    try:
+        words, order = _pcg64_state_words(gen.bit_generator)
+    except RuntimeError:
+        counts = _draw_through_public_setter(gen, table, p_up, cfg.shots)
+    else:
+        counts = []
+        items = np.ascontiguousarray(table[:, order]).view("V32")[:, 0]
+        for state, p in zip(items, p_up.tolist()):
+            words[0] = state
+            counts.append(gen.binomial(cfg.shots, p))
     estimate = 2.0 * np.array(counts, dtype=np.int64) / cfg.shots - 1.0
     return float(estimate[0]) if index is None else estimate
 

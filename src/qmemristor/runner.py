@@ -118,7 +118,7 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     or write, with the config layer's type rule (a real number, not a bool
     or None), so an invalid one raises ConfigError with nothing on disk. All
     deltas are then stepped together by one `dynamics.run_coupled` call
-    (one kappa schedule, one pair of coefficient tables, one gate per
+    (one kappa schedule, one coefficient table, one gate per
     delta), and each delta's trajectory is analysed, and written if asked,
     as `run` would. The scan holds every delta's states at once, about
     0.3 MB per delta at fig9's 1200 steps. Pinch pass/fail compares the

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from qmemristor import dynamics, ops
@@ -658,6 +658,13 @@ class TestTypeValidation:
         assert_same_bits(rho[1, 0], outer[1, 0])
 
 
+# Every phase but shrinking, for the drawn bit-equality properties of the
+# coupled stepper: a stepper that returns wrong states fails their first
+# drawn example, and shrinking it took minutes per property. The examples,
+# their number and the assertions are unchanged; a failure reports the
+# example as drawn.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
+
 kappa_lists = st.lists(st.one_of(st.floats(-50.0, 0.0), st.sampled_from((0.0, -1e4))),
                        min_size=1, max_size=4)
 
@@ -666,28 +673,36 @@ class TestTermTables:
     """The gather form of `_step_coupled` against np.kron of the Kraus terms."""
 
     @given(k1=kappa_lists, k2=kappa_lists, shared=st.booleans())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_tables_rebuild_every_kronecker_term(self, k1, k2, shared):
         k1 = np.array(k1)
         k2 = k1 if shared else np.resize(np.array(k2), k1.shape)
-        left, right = dynamics._term_coefficients(k1, k2)
-        assert left.shape == right.shape == (len(k1), 4, 16)
-        assert left.dtype == right.dtype == np.float64
+        table = dynamics._term_coefficients(k1, k2)
+        assert table.shape == (len(k1), 4, 4)
+        assert table.dtype == np.complex128
+        # the operand a complex-by-float multiply would cast c_i to
+        assert_same_bits(table.imag, np.zeros(table.shape))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 1.0
         kraus1, kraus2 = damping_kraus(k1), damping_kraus(k2)
-        # entry 4i + j of term k gathers rho[m(i), m(j)] and scales it by
-        # c_i (left) and c_j (right)
+        # entry 4i + j of term k gathers rho[m(i), m(j)], to be scaled by
+        # c_i = table[n, k, i] and c_j = table[n, k, j]
         row, col = np.divmod(dynamics._TERM_INDEX, 4)
         for n in range(len(k1)):
             for k in range(4):
-                m, c = row[k, ::4], left[n, k, ::4]
+                e, f = kraus1[n, k // 2], kraus2[n, k % 2]
+                m = row[k, ::4]
                 assert np.array_equal(row[k], np.repeat(m, 4))
                 assert np.array_equal(col[k], np.tile(m, 4))
-                assert_same_bits(left[n, k], np.repeat(c, 4))
-                assert_same_bits(right[n, k], np.tile(c, 4))
                 # row i of the term is c_i at column m(i) and +0 elsewhere
-                rebuilt = np.zeros((4, 4))
-                rebuilt[np.arange(4), m] = c
-                assert_same_bits(rebuilt + 0j, np.kron(kraus1[n, k // 2], kraus2[n, k % 2]))
+                rebuilt = np.zeros((4, 4), dtype=complex)
+                rebuilt[np.arange(4), m] = table[n, k]
+                assert_same_bits(rebuilt, np.kron(e, f))
+                # c_i is the float64 product of the two qubits' row entries
+                for i in range(4):
+                    (r1, r2), (m1, m2) = divmod(i, 2), divmod(m[i], 2)
+                    assert_same_bits(table[n, k, i].real, e.real[r1, m1] * f.real[r2, m2])
 
 
 # The per-qubit trajectory loops: one Kraus map per step, applied as matrix
@@ -827,7 +842,7 @@ class TestStepperMatchesReferenceLoops:
 
     @given(data=st.data(), init1=initial_states, init2=initial_states,
            grid=grids, omega=st.floats(0.5, 2.0), spec=couplings)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     def test_coupled(self, data, init1, init2, grid, omega, spec):
         p1 = data.draw(profiles(omega))
         p2 = data.draw(profiles(omega))
@@ -848,7 +863,7 @@ class TestStepperMatchesReferenceLoops:
            deltas=st.lists(st.one_of(st.floats(-math.pi, math.pi),
                                      st.sampled_from((0.0, 0.25, -1.5))),
                            min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     def test_coupled_batch(self, data, init1, init2, grid, omega, spec, deltas):
         p1 = data.draw(profiles(omega))
         p2 = data.draw(profiles(omega))
@@ -859,6 +874,31 @@ class TestStepperMatchesReferenceLoops:
             alone = run_coupled(init1, init2, p1, p2, grid, [s])[0]
             assert np.array_equal(trajectory, alone)
             assert_stack_identical(trajectory, reference_coupled(init1, init2, p1, p2, grid, s))
+
+
+class TestCoupledBlocks:
+    """`_step_coupled` spreads its table one block of steps at a time; the
+    states must not depend on where the blocks fall."""
+
+    @pytest.mark.parametrize("block", [1, 5, 23, 24, 25])
+    def test_block_size_leaves_every_state_unchanged(self, monkeypatch, block):
+        # a 24-step grid, so blocks of 5 and 23 end on a short block and 25
+        # holds every step
+        args = (TILTED, EXCITED, DecayProfile(0.05, 1.0), DecayProfile(0.8, 1.0),
+                TimeGrid(2, 12))
+        specs = [InteractionSpec("controlled_rotation", "y", d) for d in (0.7, -1.5)]
+        monkeypatch.setattr(dynamics, "_COUPLED_BLOCK", block)
+        batch = run_coupled(*args, specs)
+        for spec, trajectory in zip(specs, batch):
+            assert_same_bits(run_coupled(*args, [spec])[0], trajectory)
+            assert_stack_identical(trajectory, reference_coupled(*args, spec))
+
+    def test_grid_longer_than_two_blocks(self):
+        grid = TimeGrid(3, 2 * dynamics._COUPLED_BLOCK // 3 + 5)
+        assert grid.n_steps > 2 * dynamics._COUPLED_BLOCK
+        rhos = run_coupled(TILTED, TILTED, RATE, RATE, grid, [ROTATION])
+        assert_stack_identical(rhos[0], reference_coupled(TILTED, TILTED, RATE, RATE, grid,
+                                                          ROTATION))
 
 
 # The decay integral as it stood while every panel refined on its own, a

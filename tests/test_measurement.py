@@ -1,3 +1,4 @@
+import functools
 import logging
 import math
 
@@ -222,29 +223,43 @@ class TestBulkStreams:
             seed, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
             assert low | high << 64 == ((inc + seed) * measurement._PCG_MULT + inc) % 2 ** 128
 
-    def test_unrecognized_state_layout_raises_before_any_write(self, monkeypatch):
+    def test_unrecognized_state_layout_raises_before_any_write(self):
         # a PCG64 whose public getter misreports its state: the words in
-        # memory match no layout, so no state may be written or drawn from
-        made = []
-
+        # memory match no layout, so they may not be handed out for writing
         class Misreporting(np.random.PCG64):
-            def __init__(self, seed):
-                super().__init__(seed)
-                made.append(self)
-
             @property
             def state(self):
                 reported = super().state
                 reported["state"]["state"] ^= 1
                 return reported
 
-        monkeypatch.setattr(np.random, "PCG64", Misreporting)
+        bit_generator = Misreporting(0)
         with pytest.raises(RuntimeError, match="match no known layout"):
-            sampled_expectation(np.array([0.1, 0.2]), "x", sampled(3), (0,))
-        monkeypatch.undo()
-        [bit_generator] = made
+            measurement._pcg64_state_words(bit_generator)
         assert super(Misreporting, bit_generator).state["state"] == \
             np.random.PCG64(0).state["state"]
+
+    def test_unknown_layout_draws_through_the_public_setter(self, monkeypatch, caplog):
+        # state words that match no known layout: each point's state is set
+        # through numpy's public setter instead, with the same draws, and the
+        # fallback is logged once per process, naming the numpy version
+        exact = np.array(EDGE_VALUES + np.linspace(-0.9, 0.9, 41).tolist())
+        cfg = sampled(2 ** 64 - 1, shots=977)
+        expected = [sampled_expectation(exact, "y", cfg, (1,)),
+                    sampled_expectation(exact[:3], "x", cfg, (0,)),
+                    sampled_expectation(0.3, "x", cfg, (0, 2))]
+        monkeypatch.setattr(measurement, "_PCG64_LAYOUTS", ())
+        monkeypatch.setattr(measurement, "_warn_unknown_layout",
+                            functools.cache(measurement._warn_unknown_layout.__wrapped__))
+        with caplog.at_level(logging.WARNING, logger=measurement.__name__):
+            got = [sampled_expectation(exact, "y", cfg, (1,)),
+                   sampled_expectation(exact[:3], "x", cfg, (0,)),
+                   sampled_expectation(0.3, "x", cfg, (0, 2))]
+        assert [np.asarray(g).tobytes() for g in got] == \
+            [np.asarray(e).tobytes() for e in expected]
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert f"numpy {np.__version__}:" in record.getMessage()
 
     def test_wide_point_index_is_rejected(self):
         # numpy gives an index of 2**32 or more two entropy words, which a
