@@ -26,6 +26,10 @@ MODES = ("single", "coupled")
 # characters a run name may not hold: every path separator of the platform
 # (a backslash is an ordinary character on POSIX) and NUL
 _NAME_BANNED = tuple({"/", os.sep, os.altsep, "\0"} - {None})
+# most bytes a run name may hold: a file name holds 255 bytes (NAME_MAX
+# of ext4, APFS and NTFS), less the longest suffix the CLI appends to a name,
+# export-qasm's "_x.qasm"; `runner.delta_scan` holds its directory names to it
+NAME_MAX_BYTES = 255 - len("_x.qasm")
 NORMALIZATIONS = ("max", "initial")
 
 
@@ -58,6 +62,14 @@ class RunConfig:
             # '.' or '..' would lead elsewhere, and no path holds a NUL
             raise ConfigError(f"invalid configuration {self.name!r}: name must be one "
                               "path component: not empty, '.' or '..', with no '/' or NUL")
+        try:
+            size = len(os.fsencode(self.name))  # the bytes the file system sees
+        except UnicodeEncodeError as exc:  # a lone surrogate
+            raise ConfigError(f"invalid configuration {self.name!r}: the name cannot "
+                              f"be encoded as a file name: {exc}") from exc
+        if size > NAME_MAX_BYTES:
+            raise ConfigError(f"invalid configuration: the name is {size} bytes, more than "
+                              f"the {NAME_MAX_BYTES} a run name may hold")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.plot_normalization not in NORMALIZATIONS:

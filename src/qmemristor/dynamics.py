@@ -72,21 +72,15 @@ class DecayProfile:
     """Oscillating decay rate gamma0 * (1 - sin(cos(omega*t))).
 
     The modulation keeps the rate strictly positive (|sin(cos x)| <= sin 1).
-    ``constant_rate`` replaces the formula by a fixed rate; it exists for
-    tests and oracle cross-checks that need a constant or zero rate.
     """
     gamma0: float
     omega: float
-    constant_rate: float | None = None
 
     def __post_init__(self):
         if not 0 < self.gamma0 < math.inf:
             raise ValueError(f"gamma0 must be positive and finite, got {self.gamma0}")
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be positive and finite, got {self.omega}")
-        if self.constant_rate is not None and not 0 <= self.constant_rate < math.inf:
-            raise ValueError(
-                f"constant_rate must be nonnegative and finite, got {self.constant_rate}")
 
 
 @dataclass(frozen=True)
@@ -154,10 +148,7 @@ class TrajectoryState:
 
 
 def decay_rate(t: float | np.ndarray, p: DecayProfile) -> float | np.ndarray:
-    """Decay rate at time t, a float or an array of times; ``constant_rate``
-    if set, in t's shape. Never negative."""
-    if p.constant_rate is not None:
-        return np.full(np.shape(t), p.constant_rate, dtype=float)
+    """Decay rate at time t, a float or an array of times. Never negative."""
     return p.gamma0 * _modulation(p.omega, t)
 
 
@@ -273,24 +264,21 @@ def kappa(t_start: float, t_end: float, p: DecayProfile) -> float:
         raise ValueError(f"kappa needs a finite interval with t_start <= t_end, "
                          f"got [{t_start}, {t_end}]")
     span = t_end - t_start
-    if p.constant_rate is not None:
-        value = -0.5 * p.constant_rate * span
+    mid, half = 0.5 * p.omega * (t_start + t_end), 0.5 * p.omega * span
+    # math.cos and math.sin raise a bare "math domain error" on an
+    # infinite phase, and the highest harmonic's phase is the largest
+    n_top = _SIN_COS_SERIES[-1][0]
+    if not (math.isfinite(n_top * mid) and math.isfinite(n_top * half)):
+        raise ValueError(f"kappa's phase overflows on [{t_start}, {t_end}] "
+                         f"at omega={p.omega}")
+    if math.isfinite(4.0 / p.omega) and half >= sys.float_info.min:
+        wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
+        value = -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
     else:
-        mid, half = 0.5 * p.omega * (t_start + t_end), 0.5 * p.omega * span
-        # math.cos and math.sin raise a bare "math domain error" on an
-        # infinite phase, and the highest harmonic's phase is the largest
-        n_top = _SIN_COS_SERIES[-1][0]
-        if not (math.isfinite(n_top * mid) and math.isfinite(n_top * half)):
-            raise ValueError(f"kappa's phase overflows on [{t_start}, {t_end}] "
-                             f"at omega={p.omega}")
-        if math.isfinite(4.0 / p.omega) and half >= sys.float_info.min:
-            wave = sum(c * math.cos(n * mid) * math.sin(n * half) for n, c in _SIN_COS_SERIES)
-            value = -0.5 * p.gamma0 * (span - 4.0 / p.omega * wave)
-        else:
-            # 4/omega overflows or the phases are subnormal: (4/omega) sin(n half)
-            # = 2 n span sinc(n half), which stays finite and keeps its digits
-            wave = sum(n * c * math.cos(n * mid) * _sinc(n * half) for n, c in _SIN_COS_SERIES)
-            value = -0.5 * p.gamma0 * span * (1.0 - 2.0 * wave)
+        # 4/omega overflows or the phases are subnormal: (4/omega) sin(n half)
+        # = 2 n span sinc(n half), which stays finite and keeps its digits
+        wave = sum(n * c * math.cos(n * mid) * _sinc(n * half) for n, c in _SIN_COS_SERIES)
+        value = -0.5 * p.gamma0 * span * (1.0 - 2.0 * wave)
     if not math.isfinite(value):
         raise ValueError(f"kappa overflows on [{t_start}, {t_end}] to {value}")
     return value
@@ -309,10 +297,7 @@ def kappa_schedule(grid: TimeGrid, p: DecayProfile) -> np.ndarray:
     """
     times = grid.times(p.omega)
     steps = np.diff(times)
-    if p.constant_rate is not None:
-        kappas = -0.5 * p.constant_rate * steps
-    else:
-        kappas = -0.5 * _panel_integrals(times[:-1], times[1:], p, QUAD_TOL)
+    kappas = -0.5 * _panel_integrals(times[:-1], times[1:], p, QUAD_TOL)
     # an omega so large that dt rounds to 0.0 gives empty steps, whose kappa is +0.0
     empty = steps == 0.0
     n_empty = np.count_nonzero(empty)
@@ -341,10 +326,9 @@ def run_single(init: InitialState, p: DecayProfile,
     +0 there; adding +0 to the stepped coherences turns their -0 parts (a
     negative subnormal times a zero) into +0 and changes nothing else.
     """
-    kraus = ops.damping_kraus(kappa_schedule(grid, p))
-    a, s = kraus[:, 0, 0, 0], kraus[:, 1, 1, 0]
+    a, s = ops.damping_amplitudes(kappa_schedule(grid, p))
     rho0 = init.density_matrix()
-    rhos = np.empty((len(kraus) + 1, 2, 2), dtype=complex)
+    rhos = np.empty((len(a) + 1, 2, 2), dtype=complex)
     ee = np.multiply.accumulate(np.concatenate([rho0[0, :1], np.repeat(a, 2)]))[::2]
     rhos[:, 0, 0] = ee
     rhos[:, 0, 1] = np.multiply.accumulate(np.concatenate([rho0[0, 1:], a]))
@@ -373,7 +357,7 @@ def run_coupled(init1: InitialState, init2: InitialState,
     (`_term_coefficients`): six numpy calls per step into buffers reused
     by every step (`_step_coupled`), on 2-D arrays for a lone spec, bit for
     bit the term-by-term matrix products. Everything but the gate is
-    shared: one kappa schedule and one ``damping_kraus`` call per distinct
+    shared: one kappa schedule and one ``damping_amplitudes`` call per distinct
     profile, and one coefficient table, step all trajectories together.
     Returns the states as one read-only (len(specs), n_steps+1, 4, 4)
     array; slice b is bit for bit the run with ``specs[b]`` alone, and each
@@ -421,13 +405,13 @@ def _term_coefficients(k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
     the same bits as the real part of np.kron's complex product, and its
     imaginary part is exactly +0: the operand a complex-by-float multiply
     would cast c_i to, so the stepping's complex products see the same
-    values without a cast per step. The Kraus stacks live only inside this
-    call; the table is 256 B per step.
+    values without a cast per step. The table is 256 B per step.
     """
-    kraus1 = ops.damping_kraus(k1)
-    kraus2 = kraus1 if k2 is k1 else ops.damping_kraus(k2)
-    terms, rows = [[0], [1]], [0, 1]
-    c1, c2 = (kraus.real[:, terms, rows, _KRAUS_COLUMN] for kraus in (kraus1, kraus2))
+    a1, s1 = ops.damping_amplitudes(k1)
+    a2, s2 = (a1, s1) if k2 is k1 else ops.damping_amplitudes(k2)
+    # [n, t, r]: the entry of row r of Kraus term t, [[a, 1], [0, s]]
+    c1, c2 = (np.stack([a, np.ones_like(a), np.zeros_like(a), s], axis=1).reshape(-1, 2, 2)
+              for a, s in ((a1, s1), (a2, s2)))
     table = (c1[:, :, None, :, None] * c2[:, None, :, None, :]).reshape(-1, 4, 4).astype(complex)
     table.flags.writeable = False
     return table
@@ -544,24 +528,6 @@ def _modulation_block(omega: float, dt: float, start: int, stop: int) -> np.ndar
     return table
 
 
-def _whole_step_rates(n: int, dt: float, p: DecayProfile):
-    """Decay rates at the start, midpoint and end of each of n whole steps
-    of dt from t = 0, yielded as one contiguous (3, B) table per block of
-    `_RK4_BLOCK` steps (the last block holds the rest).
-
-    A rate is gamma0 times the cached `_modulation_block` entry, the
-    expression `decay_rate` evaluates, so every entry has the scalar
-    call's bits. A constant rate comes from `decay_rate` itself.
-    """
-    for start in range(0, n, _RK4_BLOCK):
-        stop = min(start + _RK4_BLOCK, n)
-        if p.constant_rate is None:
-            yield p.gamma0 * _modulation_block(p.omega, dt, start, stop)
-        else:
-            # a constant rate reads only the times' shape
-            yield decay_rate(np.empty((3, stop - start)), p)
-
-
 def _blocked_mode_products(rate_blocks, h: float, omega: float) -> tuple[float, complex]:
     """Products P1 and P2 over the steps of the two Bloch equations' RK4
     gains, steps of size h whose (3, B) decay-rate tables ``rate_blocks``
@@ -634,8 +600,13 @@ def lindblad_oracle(init: InitialState, p: DecayProfile, t_end: float,
     # a step too coarse for a stiff rate overflows the gains; the checks
     # below must be the only signal
     with np.errstate(over="ignore", invalid="ignore"):
-        gains = np.array(_blocked_mode_products(_whole_step_rates(n_full, dt_ode, p),
-                                                dt_ode, p.omega))
+        # each block's rates are gamma0 times its cached modulation table,
+        # the expression `decay_rate` evaluates, so every rate has the
+        # scalar call's bits
+        blocks = (p.gamma0 * _modulation_block(p.omega, dt_ode, start,
+                                               min(start + _RK4_BLOCK, n_full))
+                  for start in range(0, n_full, _RK4_BLOCK))
+        gains = np.array(_blocked_mode_products(blocks, dt_ode, p.omega))
         if tail:
             start = n_full * dt_ode
             rates = decay_rate(start + rem * np.array([[0.0], [0.5], [1.0]]), p)

@@ -39,25 +39,35 @@ def rotation(axis: str, angle: float) -> np.ndarray:
     return math.cos(angle / 2) * IDENTITY_2 - 1j * math.sin(angle / 2) * sigma
 
 
-def damping_kraus(kappa) -> np.ndarray:
-    """Amplitude-damping Kraus operators for log-amplitude kappa <= 0.
+def damping_amplitudes(kappa) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude-damping amplitudes (a, s) for log-amplitude kappa <= 0.
 
-    E0 = diag(e^kappa, 1) keeps the excited amplitude scaled by e^kappa;
-    E1 moves the lost population to the ground state. Returns one stack of
-    shape kappa.shape + (2, 2, 2): [..., 0, :, :] is E0 and [..., 1, :, :]
-    is E1, and E0^dag E0 + E1^dag E1 = I holds to 1e-12. An array of kappas
-    gives entries equal to the scalar calls': e^kappa comes from math.exp,
-    because numpy's exp can differ from it in the last bit.
+    E0 = diag(a, 1) keeps the excited amplitude scaled by a = e^kappa, and
+    E1 = s|g><e| with s = sqrt(1 - a^2) moves the lost population to the
+    ground state. Both are float arrays in kappa's shape. An array of
+    kappas gives entries equal to the scalar calls': e^kappa comes from
+    math.exp, because numpy's exp can differ from it in the last bit.
     """
     k = np.asarray(kappa, dtype=float)
     bad = k[~(k <= 0)]  # NaN fails k <= 0 as well
     if bad.size:
         raise ValueError(f"kappa must be <= 0, got {bad[0]}")
     amp = np.array([math.exp(x) for x in k.ravel().tolist()]).reshape(k.shape)
-    kraus = np.zeros(k.shape + (2, 2, 2), dtype=complex)
+    return amp, np.sqrt(1.0 - amp * amp)
+
+
+def damping_kraus(kappa) -> np.ndarray:
+    """Amplitude-damping Kraus operators for log-amplitude kappa <= 0.
+
+    One stack of shape kappa.shape + (2, 2, 2) built from
+    `damping_amplitudes`: [..., 0, :, :] is E0 and [..., 1, :, :] is E1,
+    and E0^dag E0 + E1^dag E1 = I holds to 1e-12.
+    """
+    amp, s = damping_amplitudes(kappa)
+    kraus = np.zeros(amp.shape + (2, 2, 2), dtype=complex)
     kraus[..., 0, 0, 0] = amp
     kraus[..., 0, 1, 1] = 1.0
-    kraus[..., 1, 1, 0] = np.sqrt(1.0 - amp * amp)
+    kraus[..., 1, 1, 0] = s
     return kraus
 
 

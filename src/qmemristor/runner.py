@@ -17,7 +17,7 @@ import numpy as np
 
 from . import analysis, dynamics, measurement, svgplot
 from .analysis import EntanglementEvent, LoopMetrics
-from .config import RunComponents, RunConfig, check_real
+from .config import NAME_MAX_BYTES, RunComponents, RunConfig, check_real
 from .errors import ConfigError
 from .measurement import ObservableTrace
 
@@ -125,7 +125,8 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     worst per-period pinch distance against ``pinch_tol``; death/birth
     counts come from the concurrence series. Writes per-delta run
     directories plus scan_summary.csv when ``out_dir`` is given; deltas
-    whose directory names (4 decimals) collide are then rejected first.
+    whose directory names (4 decimals) collide, or run past
+    `config.NAME_MAX_BYTES`, are then rejected first.
     """
     if base.mode != "coupled":
         raise ConfigError("delta_scan needs a coupled configuration")
@@ -140,6 +141,10 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
     clash = [d for d, name in zip(deltas, dirs) if dirs.count(name) > 1]
     if out is not None and clash:
         raise ConfigError(f"deltas {clash} share run directory names at 4 decimals")
+    long = [d for d, name in zip(deltas, dirs) if len(name) > NAME_MAX_BYTES]
+    if out is not None and long:
+        raise ConfigError(f"delta {long[0]!r} gives a run directory name of more than "
+                          f"the {NAME_MAX_BYTES} bytes a run name may hold")
     rows = []
     for d, name, result in zip(deltas, dirs, _coupled_results(configs, parts)):
         if out is not None:

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemristor import qasm, runner
+from qmemristor import dynamics, qasm, runner
 from qmemristor.cli import main
-from qmemristor.config import RunConfig
+from qmemristor.config import NAME_MAX_BYTES, RunConfig
 from qmemristor.errors import NumericsError
 from qmemristor.presets import preset
 
@@ -340,6 +340,60 @@ class TestExitCodes:
         monkeypatch.setattr(runner, "run", bug)
         with pytest.raises(ValueError, match="a programming error"):
             main(["run", "--preset", "fig4", "--out", str(tmp_path)])
+
+
+class TestNamesTheFileSystemCannotHold:
+    """A file or directory name the file system cannot hold is a config
+    error before any stepping, with nothing written."""
+
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        """The names of the steppers called, each stubbed out."""
+        calls = []
+        for name in ("run_single", "run_coupled"):
+            monkeypatch.setattr(dynamics, name, lambda *args, name=name: calls.append(name))
+        return calls
+
+    def assert_rejected(self, argv, tmp_path, capsys, steps):
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert steps == []
+        assert sorted(tmp_path.rglob("*")) == before
+        return err[0]
+
+    def test_scan_delta(self, tmp_path, capsys, steps):
+        # delta_1000...0.0000 is 320 bytes
+        err = self.assert_rejected(["scan", "--preset", "fig7", "--delta", "0.1,1e308",
+                                    "--periods", "1"], tmp_path, capsys, steps)
+        assert err.endswith(f"delta 1e+308 gives a run directory name of more than "
+                            f"the {NAME_MAX_BYTES} bytes a run name may hold")
+
+    @pytest.mark.parametrize("verb", RUN_VERBS)
+    @pytest.mark.parametrize("name, message", [
+        ("n" * 300, f"the name is 300 bytes, more than the {NAME_MAX_BYTES} a run name may hold"),
+        ("\u00e9" * 125,
+         f"the name is 250 bytes, more than the {NAME_MAX_BYTES} a run name may hold"),
+        # to_text writes it as an escape, which the config file keeps
+        ("a\ud800b", "the name cannot be encoded as a file name: 'utf-8' codec can't encode "
+                     "character '\\ud800' in position 1: surrogates not allowed"),
+    ], ids=["300_bytes", "250_bytes_in_125_characters", "lone_surrogate"])
+    def test_name(self, tmp_path, capsys, steps, verb, name, message):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(replace(preset("fig7"), name=name, periods=1).to_text())
+        err = self.assert_rejected([verb, "--config", str(cfg_path)], tmp_path, capsys, steps)
+        assert err.endswith(message)
+
+    def test_longest_name_fits_every_file(self, tmp_path):
+        # 255 bytes less "_x.qasm": export-qasm's file name is 255 bytes
+        name = "n" * NAME_MAX_BYTES
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(replace(preset("fig4"), name=name, periods=1).to_text())
+        for verb in ("run", "export-qasm"):
+            assert main([verb, "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / f"{name}_x.qasm").name.encode()) == 255
+        assert (tmp_path / name / "trace.csv").exists()
 
 
 # names that lead outside --out or into its root, then names that stay valid:

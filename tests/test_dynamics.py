@@ -25,6 +25,14 @@ from conftest import assert_same_bits, deadline
 
 FIG4_INIT = InitialState(math.pi / 4, math.pi / 5)
 FIG4_PROFILE = DecayProfile(0.4, 1.0)
+# Two real profiles at the ends of the damping map: at gamma0 = 5e-324 every
+# rate and kappa rounds to (signed) zero, so every step has a = 1 and s = 0
+# exactly; at gamma0 = 1e5 e^kappa underflows, a = 0 and s = 1, on every
+# step of a grid of at most 16 steps per period at omega <= 2
+# (TestEdgeProfiles holds them to it)
+ZERO_GAMMA0, UNDERFLOW_GAMMA0 = 5e-324, 1e5
+ZERO_RATE = DecayProfile(ZERO_GAMMA0, 1.0)
+UNDERFLOW_RATE = DecayProfile(UNDERFLOW_GAMMA0, 1.0)
 SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
@@ -74,10 +82,6 @@ class TestKappaScheduleEmptyStepLog:
 class TestKappa:
     def test_empty_interval(self):
         assert kappa(1.0, 1.0, FIG4_PROFILE) == 0.0
-
-    def test_constant_rate_override(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=0.8)
-        assert kappa(0.5, 2.5, p) == pytest.approx(-0.8, abs=1e-12)
 
     def test_full_period_symmetry(self):
         # the oscillating part integrates to zero over a period, so only the
@@ -199,10 +203,6 @@ class TestKappaClosedForm:
             t = rng.uniform(0.0, 30.0)
             assert kappa(0.0, t, p) == pytest.approx(simpson_kappa(t, p), abs=1e-13)
 
-    def test_constant_rate(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=0.8)
-        assert kappa(0.0, 2.5, p) == -0.5 * 0.8 * 2.5
-
     def test_zero_time(self):
         assert kappa(0.0, 0.0, FIG4_PROFILE) == 0.0
 
@@ -214,17 +214,21 @@ class TestKappaClosedForm:
 
 class TestThetaSchedule:
     def test_zero_rate_gives_zero_angle(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=0.0)
-        thetas = theta_schedule(TimeGrid(1, 10), p)
+        thetas = theta_schedule(TimeGrid(1, 10), ZERO_RATE)
         assert np.allclose(thetas, 0.0)
 
-    def test_half_amplitude_step(self):
-        # constant rate tuned so every step has kappa = ln(1/2)
+    def test_half_amplitude_period(self):
+        # the oscillating part integrates to zero over a period, so gamma0 =
+        # ln 2 / pi gives kappa = -gamma0 pi = ln(1/2) over it: the steps'
+        # cos(theta) multiply to 1/2, and each is e^kappa of its own step
         grid = TimeGrid(1, 10)
-        dt = grid.dt(1.0)
-        p = DecayProfile(1.0, 1.0, constant_rate=2 * math.log(2) / dt)
+        p = DecayProfile(math.log(2) / math.pi, 1.0)
         thetas = theta_schedule(grid, p)
-        assert np.allclose(thetas, math.pi / 3, atol=1e-12)
+        assert np.prod(np.cos(thetas)) == pytest.approx(0.5, abs=1e-12)
+        times = grid.times(1.0).tolist()
+        for theta, t_start, t_end in zip(thetas.tolist(), times[:-1], times[1:]):
+            assert math.cos(theta) == pytest.approx(math.exp(kappa(t_start, t_end, p)),
+                                                    abs=1e-12)
 
     def test_fig4_schedule_shape(self):
         grid = TimeGrid(2, 30)
@@ -239,8 +243,7 @@ class TestThetaSchedule:
 
 class TestRunSingle:
     def test_zero_rate_keeps_state_constant(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=0.0)
-        states = run_single(FIG4_INIT, p, TimeGrid(1, 12))
+        states = run_single(FIG4_INIT, ZERO_RATE, TimeGrid(1, 12))
         for s in states[1:]:
             assert np.abs(s.rho - states[0].rho).max() < 1e-14
 
@@ -275,14 +278,13 @@ class TestRunSingle:
     def test_validation_names_the_failing_step(self, monkeypatch):
         # doubling E1's entry quadruples the population it moves, so the
         # trace grows past 1 at the first step
-        kraus = ops.damping_kraus
+        amplitudes = ops.damping_amplitudes
 
         def faulty(kappas):
-            out = kraus(kappas)
-            out[..., 1, 1, 0] *= 2.0
-            return out
+            a, s = amplitudes(kappas)
+            return a, 2.0 * s
 
-        monkeypatch.setattr(ops, "damping_kraus", faulty)
+        monkeypatch.setattr(ops, "damping_amplitudes", faulty)
         with pytest.raises(StateError, match=r"\(single trajectory, step 1\)"):
             run_single(InitialState(0.7), DecayProfile(0.3, 1.0), TimeGrid(1, 8))
 
@@ -294,13 +296,14 @@ class TestAnalyticOracle:
                       - init.density_matrix()).max() < 1e-14
 
     def test_full_decay_limit(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=50.0)
+        p = DecayProfile(50.0, 1.0)
         out = analytic_oracle(InitialState(0.3, 0.7), p, 10.0)
         assert np.allclose(out, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_offdiagonal_magnitude(self):
-        # constant rate 1 over t=1 gives kappa = -1/2
-        p = DecayProfile(1.0, 1.0, constant_rate=1.0)
+        # t = 1 is one period at omega = 2 pi, over which the oscillating
+        # part integrates to zero: kappa = -gamma0/2 = -1/2
+        p = DecayProfile(1.0, 2 * math.pi)
         out = analytic_oracle(InitialState(math.pi / 8, math.pi / 5), p, 1.0)
         expected = math.cos(math.pi / 8) * math.sin(math.pi / 8) * math.exp(-0.5)
         assert abs(out[0, 1]) == pytest.approx(expected, abs=1e-9)
@@ -333,9 +336,8 @@ def free_evolution(t, omega):
 
 class TestLindbladOracle:
     def test_unitary_limit(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=0.0)
         init = InitialState(0.4, 0.9)
-        out = lindblad_oracle(init, p, 3.0, 1e-3)
+        out = lindblad_oracle(init, ZERO_RATE, 3.0, 1e-3)
         rho0 = init.density_matrix()
         assert out[0, 0].real == pytest.approx(rho0[0, 0].real, abs=1e-10)
         assert abs(out[0, 1]) == pytest.approx(abs(rho0[0, 1]), abs=1e-10)
@@ -357,15 +359,15 @@ class TestLindbladOracle:
 
     def test_trace_drift_raises(self):
         # a step far above the stability limit of the stiff rate blows up
-        p = DecayProfile(1.0, 1.0, constant_rate=400.0)
+        p = DecayProfile(400.0, 1.0)
         with pytest.raises(IntegrationError):
             lindblad_oracle(InitialState(0.0, 0.0), p, 10.0, 0.5)
 
-    @pytest.mark.parametrize("rate", [1e4, 1e6])
-    def test_overflowing_gains_raise(self, rate):
+    @pytest.mark.parametrize("gamma0", [1e4, 1e6])
+    def test_overflowing_gains_raise(self, gamma0):
         # the mode gains overflow to inf and the trace is NaN; the failure
         # is the error alone, with no numpy warning before it
-        p = DecayProfile(1.0, 1.0, constant_rate=rate)
+        p = DecayProfile(gamma0, 1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationError, match=r"^trace drifted by nan"):
@@ -384,9 +386,9 @@ class TestLindbladOracle:
 
     @pytest.mark.parametrize("init, p, t_end, dt_ode", [
         (FIG4_INIT, FIG4_PROFILE, 11.0, 1e-3),
-        (InitialState(0.4, 0.9), DecayProfile(1.0, 3.0, constant_rate=0.5), 2.3, 0.07),
+        (InitialState(0.4, 0.9), DecayProfile(0.5, 3.0), 2.3, 0.07),
         (InitialState(1.2, 4.0), DecayProfile(0.1, 0.7), 9.0, 0.25),
-    ], ids=["fig4", "constant_rate_with_remainder", "coarse_step"])
+    ], ids=["fig4", "fast_drive_with_remainder", "coarse_step"])
     def test_coherences_stay_conjugate(self, init, p, t_end, dt_ode):
         # rho_ge is the conjugate of rho_eg's gain times ge, the conjugate of
         # eg, and IEEE arithmetic keeps conjugate symmetry
@@ -458,19 +460,12 @@ class TestLindbladOracle:
         for _ in range(3):
             n, h = int(rng.integers(1, 400)), float(rng.uniform(1e-3, 0.5))
             for p in (FIG4_PROFILE, DecayProfile(2.3, 3.7)):
-                (table,) = dynamics._whole_step_rates(n, h, p)
+                (table,) = oracle_rate_blocks(n, h, p)
                 ref = np.array([[decay_rate((2 * i + row) * (0.5 * h), p) for i in range(n)]
                                 for row in range(3)])
                 assert table.shape == (3, n)
                 assert table.flags.c_contiguous
                 assert table.tobytes() == ref.tobytes()
-
-    def test_rate_table_exact_for_constant_rate(self):
-        p = DecayProfile(1.0, 1.0, constant_rate=0.123)
-        table = decay_rate(np.arange(5)[:, None] * 0.1 + [0.0, 0.05, 0.1], p)
-        assert table.dtype == float
-        assert np.array_equal(table, np.full((5, 3), 0.123))
-        assert decay_rate(2.5, p) == 0.123
 
 
 class TestDigitalAgainstLindblad:
@@ -607,6 +602,24 @@ class TestRunCoupled:
                         TimeGrid(1, 10), [InteractionSpec("none")])
 
 
+def oracle_rate_blocks(n, h, p):
+    """The (3, B) rate tables `lindblad_oracle` steps its n whole steps of h
+    with, in order, from a call that ends half a step past them."""
+    calls = []
+    products = dynamics._blocked_mode_products
+
+    def spy(rate_blocks, step, omega):
+        calls.append(list(rate_blocks))
+        return products(calls[-1], step, omega)
+
+    with mock.patch.object(dynamics, "_blocked_mode_products", spy):
+        lindblad_oracle(InitialState(0.5), p, (n + 0.5) * h, h)
+    # the whole steps first, then the half-step remainder on its own
+    whole, (tail,) = calls
+    assert tail.shape == (3, 1)
+    return whole
+
+
 class TestTypeValidation:
     def test_grid_floor(self):
         with pytest.raises(ValueError):
@@ -628,11 +641,11 @@ class TestTypeValidation:
             with pytest.raises(ValueError):
                 DecayProfile(gamma0, omega)
 
-    def test_constant_rate_range(self):
-        for rate in (-0.1, math.inf, math.nan):
-            with pytest.raises(ValueError):
-                DecayProfile(0.1, 1.0, constant_rate=rate)
-        assert DecayProfile(0.1, 1.0, constant_rate=0.0).constant_rate == 0.0
+    def test_profile_has_no_constant_rate(self):
+        # the rate formula is the only rate: no field replaces it
+        with pytest.raises(TypeError):
+            DecayProfile(1.0, 1.0, constant_rate=0.0)
+        assert [f.name for f in dataclasses.fields(DecayProfile)] == ["gamma0", "omega"]
 
     def test_initial_state_ranges(self):
         with pytest.raises(ValueError):
@@ -656,6 +669,27 @@ class TestTypeValidation:
         assert_same_bits(rho.real, outer.real)
         assert_same_bits(rho[0], outer[0])
         assert_same_bits(rho[1, 0], outer[1, 0])
+
+
+class TestEdgeProfiles:
+    """ZERO_GAMMA0 and UNDERFLOW_GAMMA0 stand for a zero rate and for an
+    amplitude that underflows, in the edge cases and the drawn profiles; on
+    the grids and omegas the tests draw (at most 16 steps per period where
+    the underflow is drawn, omega in [0.5, 2]), they must stay at those ends
+    of the damping map."""
+
+    @pytest.mark.parametrize("grid", [TimeGrid(1, 8), TimeGrid(2, 12), TimeGrid(2, 16),
+                                      TimeGrid(20, 60)], ids=str)
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    def test_zero_rate_keeps_every_amplitude(self, grid, omega):
+        a, s = ops.damping_amplitudes(kappa_schedule(grid, DecayProfile(ZERO_GAMMA0, omega)))
+        assert (a == 1.0).all() and (s == 0.0).all()
+
+    @pytest.mark.parametrize("grid", [TimeGrid(1, 8), TimeGrid(2, 16)], ids=str)
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 2.0])
+    def test_underflow_empties_every_amplitude(self, grid, omega):
+        a, s = ops.damping_amplitudes(kappa_schedule(grid, DecayProfile(UNDERFLOW_GAMMA0, omega)))
+        assert (a == 0.0).all() and (s == 1.0).all()
 
 
 # Every phase but shrinking, for the drawn bit-equality properties of the
@@ -760,12 +794,10 @@ initial_states = st.builds(InitialState, st.floats(0.0, math.pi / 2),
 grids = st.builds(TimeGrid, st.integers(1, 2), st.integers(8, 16))
 
 
-def profiles(omega):
-    """The oscillating profile or a constant rate, zero included."""
-    return st.one_of(
-        st.builds(DecayProfile, st.floats(0.01, 1.0), st.just(omega)),
-        st.floats(0.0, 2.0).map(
-            lambda r: DecayProfile(1.0, omega, constant_rate=r)))
+def profiles(omega, edges=(ZERO_GAMMA0, UNDERFLOW_GAMMA0)):
+    """The profile at omega, gamma0 drawn from [0.01, 1] or ``edges``."""
+    return st.builds(DecayProfile, st.one_of(st.floats(0.01, 1.0), st.sampled_from(edges)),
+                     st.just(omega))
 
 
 couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),
@@ -775,8 +807,6 @@ couplings = st.builds(InteractionSpec, st.sampled_from(ops.INTERACTION_KINDS),
 EXCITED, GROUND, TILTED = InitialState(0.0, 0.0), InitialState(math.pi / 2, 0.0), \
     InitialState(0.7, 1.3)
 RATE = DecayProfile(0.3, 1.0)
-ZERO_RATE = DecayProfile(0.3, 1.0, constant_rate=0.0)
-UNDERFLOW_RATE = DecayProfile(1.0, 1.0, constant_rate=1e4)
 ROTATION = InteractionSpec("controlled_rotation", "y", 0.7)
 COUPLED_EDGE_CASES = {
     "excited": (EXCITED, EXCITED, RATE, RATE, TimeGrid(2, 12), ROTATION),
@@ -787,7 +817,7 @@ COUPLED_EDGE_CASES = {
     # s = 0 on the first qubit only: its E1 is empty, every coefficient of
     # terms 2 and 3 is 0, while the second qubit decays
     "zero_rate_one_qubit": (TILTED, EXCITED, ZERO_RATE, RATE, TimeGrid(2, 12), ROTATION),
-    # e^kappa underflows to 0 at kappa = -3927: a = 0 and s = 1 on every step
+    # e^kappa underflows to 0: a = 0 and s = 1 on every step
     "amplitude_underflows": (TILTED, TILTED, UNDERFLOW_RATE, UNDERFLOW_RATE,
                              TimeGrid(1, 8), ROTATION),
     "amplitude_underflows_one_qubit": (TILTED, TILTED, RATE, UNDERFLOW_RATE,
@@ -821,7 +851,7 @@ class TestStepperMatchesReferenceLoops:
     @pytest.mark.parametrize("init, p, grid", [
         (InitialState(0.0, 0.0), DecayProfile(0.3, 1.0), TimeGrid(2, 12)),
         (InitialState(math.pi / 2, 0.0), DecayProfile(0.3, 1.0), TimeGrid(2, 12)),
-        (InitialState(0.7, 1.3), DecayProfile(0.3, 1.0, constant_rate=0.0), TimeGrid(2, 12)),
+        (InitialState(0.7, 1.3), ZERO_RATE, TimeGrid(2, 12)),
         (InitialState(0.7, 1.3), DecayProfile(0.3, 1.0), TimeGrid(1, 8)),
         # dt rounds to 0.0, so every kappa is +0.0 and every step the identity
         (InitialState(0.7, 1.3), DecayProfile(0.3, 1e308), TimeGrid(1, 30)),
@@ -948,8 +978,6 @@ def reference_decay_integral(a, b, p):
 def reference_kappa(t_start, t_end, p):
     if t_end == t_start:
         return 0.0
-    if p.constant_rate is not None:
-        return -0.5 * p.constant_rate * (t_end - t_start)
     return -0.5 * reference_decay_integral(t_start, t_end, p)
 
 
@@ -969,10 +997,8 @@ def outcome(fn, *args):
 # gamma0 log-uniform over fifteen decades: from rates whose tolerance is met
 # at once to rates whose tolerance is below the ulp of a panel's value
 log_uniform_gamma0 = st.floats(-3.0, 12.0).map(lambda e: 10.0 ** e)
-quadrature_profiles = st.one_of(
-    st.builds(DecayProfile, log_uniform_gamma0, st.floats(0.1, 10.0)),
-    st.builds(DecayProfile, st.just(1.0), st.floats(0.1, 10.0),
-              st.floats(0.0, 1e3)))
+quadrature_profiles = st.builds(DecayProfile, st.one_of(log_uniform_gamma0, st.just(ZERO_GAMMA0)),
+                                st.floats(0.1, 10.0))
 
 
 class TestQuadratureMatchesReferenceRecursion:
@@ -986,10 +1012,10 @@ class TestQuadratureMatchesReferenceRecursion:
 
     def test_empty_steps_are_positive_zero(self):
         # omega * steps_per_period overflows, so dt and every step are 0.0
-        for p in (DecayProfile(1.0, 1e308), DecayProfile(1.0, 1e308, constant_rate=2.0)):
-            kappas = kappa_schedule(TimeGrid(1, 8), p)
-            assert kappas.tobytes() == reference_kappa_schedule(TimeGrid(1, 8), p).tobytes()
-            assert kappas.tobytes() == np.zeros(8).tobytes()
+        p = DecayProfile(1.0, 1e308)
+        kappas = kappa_schedule(TimeGrid(1, 8), p)
+        assert kappas.tobytes() == reference_kappa_schedule(TimeGrid(1, 8), p).tobytes()
+        assert kappas.tobytes() == np.zeros(8).tobytes()
 
 
 class TestKappaScheduleMatchesClosedForm:
@@ -1083,18 +1109,18 @@ class TestLindbladMatchesReferencePropagators:
         out = lindblad_oracle(init, p, t_end, dt_ode)
         assert np.abs(out - reference_lindblad_oracle(init, p, t_end, dt_ode)).max() <= 1e-13
 
-    # At a constant rate every step matrix is the same, and the reference's
+    # At a zero rate every step matrix is the same, and the reference's
     # pairwise product rounds each level's equal partial products alike: its
     # own error grows like n_steps * eps (up to 2.9e-13 against an exact
     # product of the same factors over 40k-63k zero-rate steps). At most
     # 2000 steps keep it under the bound.
-    @given(init=initial_states, rate=st.floats(0.0, 2.0), omega=st.floats(0.5, 3.0),
+    @given(init=initial_states, omega=st.floats(0.5, 3.0),
            t_end=st.floats(0.0, 62.8), dt_ode=st.floats(0.0315, 0.1))
-    @example(init=FIG4_INIT, rate=0.0, omega=1.0, t_end=62.8, dt_ode=0.0315)
-    @example(init=FIG4_INIT, rate=0.0, omega=1.0, t_end=32.0, dt_ode=0.0625)
+    @example(init=FIG4_INIT, omega=1.0, t_end=62.8, dt_ode=0.0315)
+    @example(init=FIG4_INIT, omega=1.0, t_end=32.0, dt_ode=0.0625)
     @settings(max_examples=40, deadline=None)
-    def test_constant_rate(self, init, rate, omega, t_end, dt_ode):
-        p = DecayProfile(1.0, omega, constant_rate=rate)
+    def test_zero_rate(self, init, omega, t_end, dt_ode):
+        p = DecayProfile(ZERO_GAMMA0, omega)
         out = lindblad_oracle(init, p, t_end, dt_ode)
         assert np.abs(out - reference_lindblad_oracle(init, p, t_end, dt_ode)).max() <= 1e-13
 
@@ -1217,7 +1243,7 @@ class TestTwoModeOracleMatchesFourModeReference:
     @pytest.mark.parametrize("omega", EXTREME_OMEGAS)
     @pytest.mark.parametrize("t_end", [0.0, 1e-14, 0.05])
     def test_bit_for_bit_at_extreme_omega(self, omega, t_end):
-        for p in (DecayProfile(0.4, omega), DecayProfile(1.0, omega, constant_rate=0.3)):
+        for p in (DecayProfile(0.4, omega), DecayProfile(ZERO_GAMMA0, omega)):
             assert_oracles_agree(FIG4_INIT, p, t_end, 1e-3)
 
     @given(omega=st.one_of(st.floats(5e-324, 1e300), st.sampled_from(EXTREME_OMEGAS)))
@@ -1291,13 +1317,16 @@ ORACLE_EDGE_CASES = {
     "remainder_above_cutoff": (FIG4_INIT, FIG4_PROFILE, 2.0 + 4e-12, 0.0078125),
     "remainder_below_cutoff": (FIG4_INIT, FIG4_PROFILE, 2.0 + 1e-12, 0.0078125),
     "zero_time": (FIG4_INIT, FIG4_PROFILE, 0.0, 1e-3),
-    "constant_rate": (FIG4_INIT, DecayProfile(1.0, 1.0, constant_rate=0.3), 2.003, 0.0078125),
-    "zero_rate": (InitialState(0.4, 0.9), DecayProfile(1.0, 1.0, constant_rate=0.0), 62.8, 1e-3),
+    "zero_rate_with_remainder": (FIG4_INIT, ZERO_RATE, 2.003, 0.0078125),
+    "zero_rate": (InitialState(0.4, 0.9), ZERO_RATE, 62.8, 1e-3),
 }
 
 
 class TestHalfStepRateTable:
-    @given(init=initial_states, p=st.floats(0.5, 3.0).flatmap(profiles),
+    # an underflowing rate is far too stiff for these steps: both oracles
+    # overflow, which the four-mode comparison covers
+    @given(init=initial_states,
+           p=st.floats(0.5, 3.0).flatmap(lambda omega: profiles(omega, (ZERO_GAMMA0,))),
            t_end=st.floats(0.0, 62.8), dt_ode=st.floats(1e-3, 0.1))
     @example(init=FIG4_INIT, p=FIG4_PROFILE, t_end=62.8, dt_ode=1e-3)
     @settings(max_examples=60, deadline=None)
@@ -1327,12 +1356,11 @@ class TestBlockedRateTables:
     @pytest.mark.parametrize("n", [0, BLOCK, BLOCK + 1, 2 * BLOCK + 5],
                              ids=["no_step", "one_full_block", "one_step_past_a_block",
                                   "two_blocks_and_a_partial"])
-    @pytest.mark.parametrize("p", [FIG4_PROFILE, DecayProfile(2.3, 3.7),
-                                   DecayProfile(1.0, 1.0, constant_rate=0.3)],
-                             ids=["fig4", "fast", "constant"])
+    @pytest.mark.parametrize("p", [FIG4_PROFILE, DecayProfile(2.3, 3.7), ZERO_RATE],
+                             ids=["fig4", "fast", "zero_rate"])
     def test_blocks_match_scalar_decay_rate(self, n, p):
         h = 0.0123
-        blocks = list(dynamics._whole_step_rates(n, h, p))
+        blocks = oracle_rate_blocks(n, h, p)
         assert [b.shape for b in blocks] == [(3, min(BLOCK, n - start))
                                              for start in range(0, n, BLOCK)]
         assert all(b.flags.c_contiguous for b in blocks)
@@ -1364,7 +1392,7 @@ class TestBlockedRateTables:
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
         # the rate tables built from it are the caller's own
-        (rates,) = dynamics._whole_step_rates(BLOCK, 1e-3, FIG4_PROFILE)
+        (rates,) = oracle_rate_blocks(BLOCK, 1e-3, FIG4_PROFILE)
         assert rates.flags.writeable
 
     def test_memory_is_bounded_by_blocks_and_cache(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from qmemristor.linalg import dagger
 from qmemristor.ops import (IDENTITY_2, IDENTITY_4, SIGMA_X, SIGMA_Y,
                             InteractionSpec, apply_channel, apply_interaction,
-                            collision_step, damping_kraus,
+                            collision_step, damping_amplitudes, damping_kraus,
                             frame_to_schroedinger, interaction_unitary,
                             rotation)
 
@@ -92,6 +92,26 @@ class TestDampingKraus:
         kappas[7] = np.nan
         with pytest.raises(ValueError, match="kappa must be <= 0, got nan"):
             damping_kraus(kappas)
+
+
+class TestDampingAmplitudes:
+    def test_are_the_kraus_entries(self, rng):
+        # a and s, float arrays in kappa's shape, carry the bits of E0[0, 0]
+        # and E1[1, 0], the real parts of the stack built from them
+        kappas = np.concatenate([rng.uniform(-10.0, 0.0, size=300),
+                                 [0.0, -0.0, -1e-300, -745.0, -800.0]]).reshape(5, -1)
+        a, s = damping_amplitudes(kappas)
+        kraus = damping_kraus(kappas)
+        assert a.dtype == s.dtype == np.float64
+        assert a.shape == s.shape == kappas.shape
+        assert a.tobytes() == kraus.real[..., 0, 0, 0].tobytes()
+        assert s.tobytes() == kraus.real[..., 1, 1, 0].tobytes()
+        assert a.tobytes() == np.array([math.exp(k) for k in kappas.ravel().tolist()]).tobytes()
+
+    @pytest.mark.parametrize("kappa", [1e-3, math.nan])
+    def test_rejects_a_kappa_above_zero_or_nan(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be <= 0"):
+            damping_amplitudes(np.array([-0.5, kappa]))
 
 
 class TestApplyChannel:
