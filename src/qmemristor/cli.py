@@ -46,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan_p.add_argument("--delta", dest="delta_list", default=None,
                         help="comma-separated coupling strengths "
                              "(default: 10 points in [0.1, 1.0])")
-    scan_p.add_argument("--pinch-tol", type=float, default=runner.DEFAULT_PINCH_TOL,
-                        help="pinch pass/fail threshold on normalized loops")
 
     qasm_p = _add_run_verb(sub, "export-qasm", "write the run's circuit as OpenQASM 2.0",
                            _cmd_export)
@@ -108,8 +106,8 @@ def _cmd_scan(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"bad --delta list {args.delta_list!r}") from exc
     out = Path(args.out) / f"{cfg.name}_scan"
-    rows = runner.delta_scan(cfg, deltas, out, pinch_tol=args.pinch_tol)
-    print(f"scan {cfg.name}: {len(rows)} points, pinch tolerance {args.pinch_tol:g}")
+    rows = runner.delta_scan(cfg, deltas, out)
+    print(f"scan {cfg.name}: {len(rows)} points, pinch tolerance {runner.PINCH_TOL:g}")
     for r in rows:
         flags = "/".join("pass" if ok else "FAIL" for ok in r.pinch_pass)
         print(f"  delta={r.delta:.4f}  mean F: q1={r.mean_f[0]:.3f} q2={r.mean_f[1]:.3f}"
@@ -121,10 +119,8 @@ def _cmd_scan(args) -> int:
 def _cmd_export(args) -> int:
     cfg = _select_config(args)
     text = qasm.export_circuit(cfg, axis=args.axis, max_ancillas=args.ancilla_cap)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{cfg.name}_{args.axis}.qasm"
-    path.write_text(text, encoding="utf-8")
+    path = Path(args.out) / f"{cfg.name}_{args.axis}.qasm"
+    runner._write_text(path, text)
     print(f"wrote {path}")
     return 0
 

@@ -125,12 +125,11 @@ class RunComponents:
         return [p for p in (self.profile1, self.profile2) if p is not None]
 
 
-_REAL_TYPES = (float, int, numbers.Real)
 # what each annotation takes, and the types that pass; the builtin types come
 # first: isinstance tries them in order, and the numbers ABCs are slow
 _KINDS = {"str": ("a string", (str,)),
           "int": ("an integer", (int, numbers.Integral)),
-          "float": ("a real number", _REAL_TYPES)}
+          "float": ("a real number", (float, int, numbers.Real))}
 # field -> (what it takes, types that pass, None allowed), read from the
 # annotations, where a trailing "| None" marks an optional field
 _FIELD_KINDS = {f.name: (*_KINDS[f.type.removesuffix(" | None")], f.type.endswith(" | None"))
@@ -148,13 +147,6 @@ def _check_types(config: RunConfig) -> None:
         if not isinstance(value, types) or isinstance(value, bool):
             raise ConfigError(f"invalid configuration {config.name!r}: "
                               f"{name} must be {want}, got {value!r}")
-
-
-def check_real(what: str, value) -> None:
-    """Apply a float field's type rule to a value that is not a config field:
-    a real number (an int passes) and not a bool, else ConfigError."""
-    if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
-        raise ConfigError(f"{what} must be a real number, got {value!r}")
 
 
 # one Python string literal (what to_text writes), then an optional comment

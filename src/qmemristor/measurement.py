@@ -272,7 +272,9 @@ def sampled_expectation(exact, axis: str, cfg: ShotConfig,
     ``SeedSequence([seed, *stream, axis])`` and returned as a float. A 1-D
     ``exact`` is a series whose point i draws from ``[seed, *stream, i,
     axis]``, returned as an array: the series call with ``stream=(q,)``
-    equals the scalar calls with ``stream=(q, i)`` bit for bit.
+    equals the scalar calls with ``stream=(q, i)`` bit for bit. Outcome
+    probabilities ``(1 + exact) / 2`` are clipped to [0, 1]; with DEBUG on,
+    one record per call names the stream and axis and counts the clips.
     """
     if cfg.mode != "sampled":
         raise ValueError("sampled_expectation requires a sampled-mode ShotConfig")
@@ -280,7 +282,11 @@ def sampled_expectation(exact, axis: str, cfg: ShotConfig,
     if values.ndim > 1:
         raise ValueError(f"exact must be a scalar or a 1-D series, got shape {values.shape}")
     index = None if values.ndim == 0 else np.arange(values.size)
-    p_up = np.clip(0.5 * (1.0 + values.reshape(-1)), 0.0, 1.0)
+    p_up = 0.5 * (1.0 + values.reshape(-1))
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("stream %s axis %s: clipped %d of %d p_up values to [0, 1]", stream, axis,
+                  np.count_nonzero((p_up < 0.0) | (p_up > 1.0)), p_up.size)
+    p_up = np.clip(p_up, 0.0, 1.0)
     table = _pcg64_states(_entropy_words((cfg.seed, *stream), index, _AXIS_INDEX[axis]),
                           p_up.size)
     # one Generator for every point: each draw starts from its own state,
@@ -350,12 +356,11 @@ def build_trace(states: np.ndarray,
     rho_01) and <sigma_y> = Im(rho_10) - Im(rho_01); sampled mode draws each
     (qubit, axis) series from its exact values with one
     ``sampled_expectation(exact, axis, shots, (q,))`` call, so point i keeps
-    its own substream ``[seed, q, i, axis]``, and logs at DEBUG how many
-    ``p_up`` values it clipped. The interaction-picture components are
-    rotated to the lab frame and turned into voltage and current, and the
-    gamma column comes from one ``decay_rate`` call. Raises NumericsError if
-    a voltage or current is not finite (an omega so large that the finite
-    difference overflows).
+    its own substream ``[seed, q, i, axis]``. The interaction-picture
+    components are rotated to the lab frame and turned into voltage and
+    current, and the gamma column comes from one ``decay_rate`` call. Raises
+    NumericsError if a voltage or current is not finite (an omega so large
+    that the finite difference overflows).
     """
     n_qubits = 1 if states.shape[-1] == 2 else 2
     if len(profiles) != n_qubits:
@@ -374,14 +379,8 @@ def build_trace(states: np.ndarray,
         # the sign of a zero
         bloch = (lower.real + upper.real + 0.0, lower.imag - upper.imag + 0.0)
         if shots.mode == "sampled":
-            columns = []
-            for axis, exact in zip("xy", bloch):
-                p_up = 0.5 * (1.0 + exact)
-                log.debug("qubit %d axis %s: clipped %d of %d p_up values to [0, 1]",
-                          q + 1, axis, np.count_nonzero((p_up < 0.0) | (p_up > 1.0)),
-                          p_up.size)
-                columns.append(sampled_expectation(exact, axis, shots, (q,)))
-            sx_i, sy_i = columns
+            sx_i, sy_i = (sampled_expectation(exact, axis, shots, (q,))
+                          for axis, exact in zip("xy", bloch))
         else:
             sx_i, sy_i = bloch
             _check_bloch_norm(sx_i, sy_i)

@@ -17,11 +17,13 @@ import numpy as np
 
 from . import analysis, dynamics, measurement, svgplot
 from .analysis import EntanglementEvent, LoopMetrics
-from .config import NAME_MAX_BYTES, RunComponents, RunConfig, check_real
+from .config import NAME_MAX_BYTES, RunComponents, RunConfig
 from .errors import ConfigError
 from .measurement import ObservableTrace
 
-DEFAULT_PINCH_TOL = 3e-3
+# a qubit's loop is pinched when its worst per-period pinch distance, on
+# normalized loops, is at most this
+PINCH_TOL = 3e-3
 DEFAULT_SCAN_DELTAS = tuple(np.linspace(0.1, 1.0, 10).tolist())
 
 
@@ -110,29 +112,26 @@ class ScanRow:
     births: int
 
 
-def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
-               pinch_tol: float = DEFAULT_PINCH_TOL) -> list[ScanRow]:
+def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None) -> list[ScanRow]:
     """Run a coupled config once per coupling strength and summarize.
 
-    ``pinch_tol`` and every delta's config are validated before any stepping
-    or write, with the config layer's type rule (a real number, not a bool
-    or None), so an invalid one raises ConfigError with nothing on disk. All
-    deltas are then stepped together by one `dynamics.run_coupled` call
-    (one kappa schedule, one coefficient table, one gate per
-    delta), and each delta's trajectory is analysed, and written if asked,
-    as `run` would. The scan holds every delta's states at once, about
-    0.3 MB per delta at fig9's 1200 steps. Pinch pass/fail compares the
-    worst per-period pinch distance against ``pinch_tol``; death/birth
-    counts come from the concurrence series. Writes per-delta run
-    directories plus scan_summary.csv when ``out_dir`` is given; deltas
+    Every delta's config is validated before any stepping or write, with
+    the config layer's type rule (a real number, not a bool or None), so an
+    invalid delta raises ConfigError with nothing on disk. All deltas are
+    then stepped together by one `dynamics.run_coupled` call (one kappa
+    schedule, one coefficient table, one gate per delta), and each delta's
+    trajectory is analysed, and written if asked, as `run` would. The scan
+    holds every delta's states at once, about 0.3 MB per delta at fig9's
+    1200 steps. Pinch pass/fail compares the worst per-period pinch
+    distance against `PINCH_TOL`; each period's distance is in the run's
+    metrics CSVs and `RunResult.max_pinch` for any other threshold.
+    Death/birth counts come from the concurrence series. Writes per-delta
+    run directories plus scan_summary.csv when ``out_dir`` is given; deltas
     whose directory names (4 decimals) collide, or run past
     `config.NAME_MAX_BYTES`, are then rejected first.
     """
     if base.mode != "coupled":
         raise ConfigError("delta_scan needs a coupled configuration")
-    check_real("pinch_tol", pinch_tol)
-    if not 0.0 <= pinch_tol < np.inf:
-        raise ConfigError(f"pinch_tol must be nonnegative and finite, got {pinch_tol!r}")
     configs = [replace(base, delta=d) for d in deltas]
     parts = [cfg.validate() for cfg in configs]
     deltas = [float(cfg.delta) for cfg in configs]
@@ -153,7 +152,7 @@ def delta_scan(base: RunConfig, deltas=DEFAULT_SCAN_DELTAS, out_dir=None,
         rows.append(ScanRow(
             delta=d,
             mean_f=tuple(result.mean_form_factor(q) for q in range(2)),
-            pinch_pass=tuple(result.max_pinch(q) <= pinch_tol for q in range(2)),
+            pinch_pass=tuple(result.max_pinch(q) <= PINCH_TOL for q in range(2)),
             deaths=kinds.count("death"),
             births=kinds.count("birth"),
         ))

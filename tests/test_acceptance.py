@@ -23,7 +23,7 @@ from qmemristor.measurement import finite_difference, sampled_expectation
 from qmemristor.ops import frame_to_schroedinger
 from qmemristor.presets import preset
 from qmemristor.qasm import export_circuit
-from qmemristor.runner import (DEFAULT_PINCH_TOL, DEFAULT_SCAN_DELTAS,
+from qmemristor.runner import (DEFAULT_SCAN_DELTAS, PINCH_TOL,
                                delta_scan, execute, run)
 
 EXACT = ShotConfig(mode="exact")
@@ -258,7 +258,7 @@ def test_criterion_8_coupled_delta_scans():
     failed = [label for label, flag in checks if not flag]
     report(8, "coupled delta-scan reproduction"
               + (f" (failed: {failed})" if failed else
-                 f" (all {len(checks)} sub-checks, pinch tol {DEFAULT_PINCH_TOL})"), ok)
+                 f" (all {len(checks)} sub-checks, pinch tol {PINCH_TOL})"), ok)
 
 
 def test_criterion_9_determinism_and_format(tmp_path):

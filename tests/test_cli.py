@@ -121,6 +121,7 @@ class TestScanVerb:
         rc = main(["scan", "--config", str(cfg_path), "--delta", "0.0,0.2",
                    "--out", str(tmp_path)])
         assert rc == 0
+        assert capsys.readouterr().out.startswith("scan fig7: 2 points, pinch tolerance 0.003\n")
         summary = tmp_path / "fig7_scan" / "scan_summary.csv"
         lines = summary.read_text().splitlines()
         assert lines[0] == ("delta,mean_F_q1,mean_F_q2,pinch_pass_q1,"
@@ -139,6 +140,17 @@ class TestScanVerb:
                    "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_pinch_tol_is_not_a_flag(self, tmp_path, capsys):
+        # the pinch threshold is runner.PINCH_TOL; argparse rejects the flag
+        # before any stepping, and --out is never created
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--preset", "fig9", "--delta", "0.2", "--pinch-tol", "0.01",
+                  "--out", str(out)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --pinch-tol 0.01" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestExportVerb:
     def test_writes_qasm(self, tmp_path):
@@ -147,6 +159,14 @@ class TestExportVerb:
         assert rc == 0
         text = (tmp_path / "fig4_y.qasm").read_text()
         assert text.startswith("OPENQASM 2.0;")
+
+    def test_file_bytes_are_the_circuit_text(self, tmp_path):
+        # "\n" line ends and UTF-8 on every platform, as the CSV and SVG
+        # writers give, in a directory the verb creates
+        out = tmp_path / "new" / "dir"
+        assert main(["export-qasm", "--preset", "fig4", "--axis", "x", "--out", str(out)]) == 0
+        text = qasm.export_circuit(preset("fig4"), "x")
+        assert (out / "fig4_x.qasm").read_bytes() == text.encode("utf-8")
 
     def test_cap_gives_config_exit(self, tmp_path):
         rc = main(["export-qasm", "--preset", "fig7", "--out", str(tmp_path)])
@@ -442,7 +462,7 @@ class TestLogLevel:
     def test_debug_shows_sampling_clips_and_analysis(self, tmp_path, capsys):
         assert main(self.RUN + ["--out", str(tmp_path), "-v", "debug"]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert ("DEBUG qmemristor.measurement: qubit 1 axis x: "
+        assert ("DEBUG qmemristor.measurement: stream (0,) axis x: "
                 "clipped 0 of 61 p_up values to [0, 1]") in err
         assert any(line.startswith("INFO qmemristor.analysis: dropping") for line in err)
 

@@ -443,15 +443,26 @@ class TestBuildTrace:
                             for i, s in enumerate(states)]
                 assert np.array_equal(column, expected)
 
+    # sigma_x of this matrix is 1 + 2e-12, so every x point clips
+    CLIPPING = np.array([[0.5, 0.5 + 1e-12], [0.5 + 1e-12, 0.5]], dtype=complex)
+
     def test_sampled_mode_logs_its_clips(self, caplog):
-        # sigma_x of this matrix is 1 + 2e-12, so every x point clips
-        rho = np.array([[0.5, 0.5 + 1e-12], [0.5 + 1e-12, 0.5]], dtype=complex)
         caplog.set_level(logging.DEBUG, logger="qmemristor.measurement")
-        build_trace(np.stack([rho] * 5), [DecayProfile(0.4, 1.0)], 0.1 * np.arange(5),
-                    sampled(2))
+        build_trace(np.stack([self.CLIPPING] * 5), [DecayProfile(0.4, 1.0)],
+                    0.1 * np.arange(5), sampled(2))
         assert [r.getMessage() for r in caplog.records] == [
-            "qubit 1 axis x: clipped 5 of 5 p_up values to [0, 1]",
-            "qubit 1 axis y: clipped 0 of 5 p_up values to [0, 1]"]
+            "stream (0,) axis x: clipped 5 of 5 p_up values to [0, 1]",
+            "stream (0,) axis y: clipped 0 of 5 p_up values to [0, 1]"]
+
+    def test_sampled_coupled_trace_logs_one_record_per_series(self, caplog):
+        # each qubit's reduced state of the product is the clipping matrix
+        rho = np.kron(self.CLIPPING, self.CLIPPING)
+        caplog.set_level(logging.DEBUG, logger="qmemristor.measurement")
+        p = DecayProfile(0.4, 1.0)
+        build_trace(np.stack([rho] * 5), [p, p], 0.1 * np.arange(5), sampled(2))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"stream ({q},) axis {axis}: clipped {clips} of 5 p_up values to [0, 1]"
+            for q in (0, 1) for axis, clips in (("x", 5), ("y", 0))]
 
     def test_profile_count_mismatch(self):
         init = InitialState(0.3, 0.0)

@@ -3,8 +3,7 @@
 An accepted config must round-trip losslessly through its text form, and a
 run of it must either return finite loop metrics or fail fast with one of the
 documented errors: ConfigError (exit 2) or NumericsError (exit 3). A
-`delta_scan` holds its deltas and pinch tolerance to the config layer's type
-rule.
+`delta_scan` holds its deltas to the config layer's type rule.
 """
 
 import math
@@ -140,8 +139,8 @@ class TestAcceptedConfigsRunOrFailFast:
                             for m in result.metrics[0]]).all()
 
 
-# what a caller may pass as a delta or a pinch tolerance: real numbers of
-# every size, numpy floats, and values of the wrong type
+# what a caller may pass as a delta: real numbers of every size, numpy
+# floats, and values of the wrong type
 scan_values = (st.floats() | st.integers(-3, 3) | st.builds(np.float64, st.floats(-2, 2))
                | st.booleans() | st.none() | st.text(max_size=4))
 
@@ -153,15 +152,13 @@ def is_real(value):
 class TestDeltaScanInputs:
     BASE = apply_overrides(preset("fig9"), periods=1, steps_per_period=8)
 
-    @given(deltas=st.lists(scan_values, max_size=3),
-           pinch_tol=st.floats(0.0, 0.1) | scan_values)
+    @given(deltas=st.lists(scan_values, max_size=3))
     @settings(max_examples=100, deadline=None)
-    def test_rows_or_config_error(self, deltas, pinch_tol):
-        typed = is_real(pinch_tol) and all(is_real(d) for d in deltas)
-        valid = typed and 0.0 <= pinch_tol < math.inf and all(map(math.isfinite, deltas))
+    def test_rows_or_config_error(self, deltas):
+        valid = all(is_real(d) for d in deltas) and all(map(math.isfinite, deltas))
         with deadline(2.0):
             try:
-                rows = delta_scan(self.BASE, deltas, pinch_tol=pinch_tol)
+                rows = delta_scan(self.BASE, deltas)
             except ConfigError:
                 assert not valid
                 return

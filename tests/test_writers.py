@@ -145,7 +145,7 @@ class TestScanDirectoryCollisions:
         assert rows == per_delta_scan(cfg, (0.2, 0.2), None)
 
 
-def per_delta_scan(base, deltas, out, pinch_tol=runner.DEFAULT_PINCH_TOL):
+def per_delta_scan(base, deltas, out):
     """A scan as one `run` (or `execute`) per delta, then the summary."""
     rows = []
     for d in deltas:
@@ -154,7 +154,7 @@ def per_delta_scan(base, deltas, out, pinch_tol=runner.DEFAULT_PINCH_TOL):
                   else runner.execute(cfg))
         kinds = [e.kind for e in result.events]
         rows.append(ScanRow(d, tuple(result.mean_form_factor(q) for q in range(2)),
-                            tuple(result.max_pinch(q) <= pinch_tol for q in range(2)),
+                            tuple(result.max_pinch(q) <= runner.PINCH_TOL for q in range(2)),
                             kinds.count("death"), kinds.count("birth")))
     if out is not None:
         (out / "scan_summary.csv").write_text(runner.scan_csv(rows), encoding="utf-8")
@@ -210,25 +210,26 @@ class TestInvalidScanDelta:
 
 
 class TestInvalidPinchTol:
+    # the pinch threshold is the constant runner.PINCH_TOL: a pinch_tol given
+    # to the API or the CLI is refused before any stepping or write
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "0.1", True, None])
     def test_rejected_before_any_stepping_or_write(self, tmp_path, monkeypatch, bad):
         steps = []
         monkeypatch.setattr(dynamics, "run_coupled", lambda *args: steps.append(args))
         out = tmp_path / "scan"
-        with pytest.raises(ConfigError, match="pinch_tol"):
+        with pytest.raises(TypeError, match="pinch_tol"):
             runner.delta_scan(preset("fig9"), (0.2,), out, pinch_tol=bad)
         assert steps == []
         assert not out.exists()
 
-    def test_zero_is_accepted(self):
-        rows = runner.delta_scan(apply_overrides(preset("fig9"), periods=2), (0.0,),
-                                 pinch_tol=0.0)
-        assert len(rows) == 1
-
     @pytest.mark.parametrize("bad", ["nan", "-1"])
-    def test_cli_exits_2_and_writes_nothing(self, tmp_path, capsys, bad):
-        rc = main(["scan", "--preset", "fig9", "--delta", "0.2", "--pinch-tol", bad,
-                   "--out", str(tmp_path)])
-        assert rc == 2
-        assert "pinch_tol" in capsys.readouterr().err
+    def test_cli_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys, bad):
+        steps = []
+        monkeypatch.setattr(dynamics, "run_coupled", lambda *args: steps.append(args))
+        with pytest.raises(SystemExit) as info:
+            main(["scan", "--preset", "fig9", "--delta", "0.2", "--pinch-tol", bad,
+                  "--out", str(tmp_path)])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --pinch-tol" in capsys.readouterr().err
+        assert steps == []
         assert list(tmp_path.iterdir()) == []
